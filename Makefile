@@ -1,14 +1,18 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test sanitize race golden shard audit sym trace trace-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test test-all sanitize race golden shard audit sym trace trace-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
 
-ci: build test audit sym doc fmt clippy
+ci: build test-all audit sym doc fmt clippy
 
 build:
 	cargo build --release
 
 test:
 	cargo test -q
+
+# Every crate's unit tests and proptests, not only the root package.
+test-all:
+	cargo test --workspace -q
 
 sanitize:
 	cargo test -q --test sanitizer

@@ -10,11 +10,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use pcm_algos::matmul::{self, MatmulVariant};
 use pcm_algos::sort::sample::{self, SampleVariant};
 use pcm_core::rng::seeded;
 use pcm_machines::{Cm5Costs, Cm5Network, GcelCosts, GcelNetwork, Platform};
-use pcm_sim::{Machine, MsgKind, NetworkModel, SendRecord, UniformCompute};
+use pcm_sim::{with_sequential, Machine, MsgKind, NetworkModel, SendRecord, UniformCompute};
 
 const SEED: u64 = 31;
 
@@ -26,37 +25,27 @@ fn bench_rayon(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(500));
 
-    for parallel in [true, false] {
-        let label = if parallel { "parallel" } else { "sequential" };
-        g.bench_with_input(
-            BenchmarkId::new("matmul_cm5_n128", label),
-            &parallel,
-            |b, &parallel| {
-                b.iter(|| {
-                    // Recreate the machine each iteration through the
-                    // public API; the parallel toggle is per machine.
-                    let _ = parallel; // run() owns its machine; emulate via
-                                      // a busy superstep below instead.
-                    matmul::run(&Platform::cm5(), 128, MatmulVariant::Bpram, SEED)
-                });
-            },
-        );
-    }
-
-    // Direct toggle on a raw machine with a compute-heavy superstep.
+    // A raw machine with a compute-heavy superstep, built inside or
+    // outside the sequential scope.
     for parallel in [true, false] {
         let label = if parallel { "parallel" } else { "sequential" };
         g.bench_with_input(
             BenchmarkId::new("busy_superstep_p64", label),
             &parallel,
             |b, &parallel| {
-                let mut m = Machine::new(
-                    Box::new(pcm_sim::IdealNetwork),
-                    Arc::new(UniformCompute::test_model()),
-                    vec![vec![0.0f64; 64 * 64]; 64],
-                    1,
-                );
-                m.set_parallel(parallel);
+                let build = || {
+                    Machine::new(
+                        Box::new(pcm_sim::IdealNetwork),
+                        Arc::new(UniformCompute::test_model()),
+                        vec![vec![0.0f64; 64 * 64]; 64],
+                        1,
+                    )
+                };
+                let mut m = if parallel {
+                    build()
+                } else {
+                    with_sequential(build)
+                };
                 m.set_tracing(false);
                 b.iter(|| {
                     m.superstep(|ctx| {

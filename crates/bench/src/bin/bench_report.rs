@@ -392,34 +392,40 @@ fn exchange_fanin_skew(cfg: &Config, p: usize) -> BenchResult {
     }
 }
 
-fn figure_kernels(cfg: &Config) -> Vec<BenchResult> {
-    let mut out = Vec::new();
-    let keys = if cfg.smoke { 16 } else { 64 };
+fn figure_bitonic_maspar_words(cfg: &Config, keys: usize) -> BenchResult {
     let maspar = Platform::maspar();
     let (ns, samples) = measure(cfg, || {
         std::hint::black_box(bitonic::run(&maspar, keys, ExchangeMode::Words, SEED));
     });
-    out.push(BenchResult {
+    BenchResult {
         name: format!("figure_kernel/bitonic_maspar_words/{keys}"),
         ns_per_iter: ns,
         samples,
         msgs_per_iter: 0,
         ..Default::default()
-    });
+    }
+}
 
-    let n = if cfg.smoke { 32 } else { 128 };
+fn figure_matmul_cm5_naive(cfg: &Config, n: usize) -> BenchResult {
     let cm5 = Platform::cm5();
     let (ns, samples) = measure(cfg, || {
         std::hint::black_box(matmul::run(&cm5, n, MatmulVariant::BspNaive, SEED));
     });
-    out.push(BenchResult {
+    BenchResult {
         name: format!("figure_kernel/matmul_cm5_naive/{n}"),
         ns_per_iter: ns,
         samples,
         msgs_per_iter: 0,
         ..Default::default()
-    });
-    out
+    }
+}
+
+fn figure_kernels(cfg: &Config) -> Vec<BenchResult> {
+    let (keys, n) = if cfg.smoke { (16, 32) } else { (64, 128) };
+    vec![
+        figure_bitonic_maspar_words(cfg, keys),
+        figure_matmul_cm5_naive(cfg, n),
+    ]
 }
 
 fn run_suite(cfg: &Config) -> Vec<BenchResult> {
@@ -492,6 +498,10 @@ fn run_named(cfg: &Config, name: &str) -> Option<BenchResult> {
         "pricing/router_slowpath" => pricing_router_paths(cfg, tail.parse().ok()?)
             .into_iter()
             .nth(1),
+        "figure_kernel/bitonic_maspar_words" => {
+            Some(figure_bitonic_maspar_words(cfg, tail.parse().ok()?))
+        }
+        "figure_kernel/matmul_cm5_naive" => Some(figure_matmul_cm5_naive(cfg, tail.parse().ok()?)),
         _ => None,
     }
 }
@@ -843,7 +853,13 @@ fn main() {
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--scaling" => scaling_requested = true,
-            "--child" => child_bench = args.next(),
+            "--child" => {
+                let Some(name) = args.next() else {
+                    eprintln!("--child needs a bench name");
+                    std::process::exit(2);
+                };
+                child_bench = Some(name);
+            }
             "--out" => out_path = args.next(),
             "--baseline" => baseline_path = args.next(),
             other => {
@@ -861,8 +877,10 @@ fn main() {
     // Child protocol: run exactly one bench with whatever pool width this
     // process latched from RAYON_NUM_THREADS, report on stdout, exit.
     if let Some(name) = child_bench {
-        let r = run_named(&cfg, &name)
-            .unwrap_or_else(|| panic!("--child: unknown or unparsable bench name {name:?}"));
+        let Some(r) = run_named(&cfg, &name) else {
+            eprintln!("--child: unknown or unparsable bench name {name:?}");
+            std::process::exit(2);
+        };
         println!(
             "child-result {:.1} {} {}",
             r.ns_per_iter,
@@ -947,5 +965,27 @@ fn main() {
         pcm_core::fsio::write_atomic(&path, report)
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         eprintln!("bench-report: wrote {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every row the suite records can be re-run alone under `--child`;
+    /// the figure kernels are checked at their smoke sizes.
+    #[test]
+    fn child_protocol_resolves_figure_kernels() {
+        let cfg = Config::new(true);
+        for name in [
+            "figure_kernel/bitonic_maspar_words/16",
+            "figure_kernel/matmul_cm5_naive/32",
+        ] {
+            let r = run_named(&cfg, name).expect("figure kernel resolves");
+            assert_eq!(r.name, name);
+            assert!(r.ns_per_iter > 0.0);
+        }
+        assert!(run_named(&cfg, "figure_kernel/unknown/16").is_none());
+        assert!(run_named(&cfg, "figure_kernel/matmul_cm5_naive/x").is_none());
     }
 }

@@ -3,7 +3,7 @@
 //! Each predictor in `pcm-models` declares a [`CostContract`] — the
 //! superstep count, per-step h-relation bound and admissible message kinds
 //! its closed form assumes. This module records the actual
-//! [`SuperstepTrace`] stream of a run (through the same validator hook the
+//! [`SuperstepTrace`] stream of a run (through the same observer hook the
 //! protocol checker uses) and diffs it against the contract, so a drifted
 //! implementation can no longer be silently mispriced by its own formula.
 
@@ -11,25 +11,33 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_models::{ContractBreach, CostContract};
-use pcm_sim::{with_validator, RunReport, StepReport, SuperstepTrace, Validator};
+use pcm_sim::{with_probe, StepObs, SuperstepProbe, SuperstepTrace};
 
 use crate::rules::{RuleId, Violation};
 
-/// A validator that reconstructs the [`SuperstepTrace`] stream of every
+/// An observer that reconstructs the [`SuperstepTrace`] stream of every
 /// machine created in its scope.
 struct TraceCollector {
     sink: Rc<RefCell<Vec<SuperstepTrace>>>,
 }
 
-impl Validator for TraceCollector {
-    fn check_step(&mut self, report: &StepReport<'_>) {
-        let pattern = report.pattern;
+impl SuperstepProbe for TraceCollector {
+    fn wants_detail(&self) -> bool {
+        true
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let pattern = obs
+            .detail
+            .as_ref()
+            .expect("the collector takes detail")
+            .pattern;
         let (word_msgs, block_msgs, xnet_msgs) = pattern.kind_counts();
         let block_rounds = pattern.block_rounds();
         self.sink.borrow_mut().push(SuperstepTrace {
-            index: report.step,
-            compute: report.compute,
-            comm: report.comm,
+            index: obs.step,
+            compute: obs.compute,
+            comm: obs.comm,
             messages: pattern.total_messages(),
             bytes: pattern.total_bytes(),
             h_send: pattern.h_send(),
@@ -42,20 +50,24 @@ impl Validator for TraceCollector {
             xnet_msgs,
         });
     }
-
-    fn finish(&mut self, _report: &RunReport<'_>) {}
 }
 
 /// Runs `body` and returns its result plus the superstep traces of every
 /// machine it created, concatenated in creation order.
+///
+/// # Panics
+///
+/// Inside another observer scope (`pcm_sim::with_probe` or
+/// `pcm_sim::extract_plans`, and so inside any tool built on them): a
+/// machine has one observer, and these scopes do not nest.
 pub fn collect_traces<R>(body: impl FnOnce() -> R) -> (R, Vec<SuperstepTrace>) {
     let sink: Rc<RefCell<Vec<SuperstepTrace>>> = Rc::default();
     let handle = sink.clone();
-    let result = with_validator(
+    let result = with_probe(
         move |_p| {
             Box::new(TraceCollector {
                 sink: handle.clone(),
-            }) as Box<dyn Validator>
+            })
         },
         body,
     );
@@ -93,6 +105,12 @@ pub fn breach_to_violation(breach: &ContractBreach) -> Violation {
 
 /// Runs `body` under trace collection and checks the collected stream
 /// against `contract` for problem size `n` on `p` processors.
+///
+/// # Panics
+///
+/// Inside another observer scope (`pcm_sim::with_probe` or
+/// `pcm_sim::extract_plans`, and so inside any tool built on them): a
+/// machine has one observer, and these scopes do not nest.
 pub fn check_conformance<R>(
     contract: &CostContract,
     n: usize,

@@ -2,7 +2,7 @@
 //!
 //! Three layers of checking for the simulator and the algorithm suite:
 //!
-//! 1. **Runtime protocol checker** ([`protocol`]): a `pcm_sim::Validator`
+//! 1. **Runtime protocol checker** ([`protocol`]): a `pcm_sim` observer
 //!    that watches every superstep and flags violations of the active
 //!    model's message [`Discipline`] — out-of-range destinations (R01),
 //!    unread deliveries (R02), disallowed message kinds (R03), concurrent
@@ -22,7 +22,7 @@
 //! through all three layers.
 //!
 //! A fourth layer lives in its own crate: the **happens-before race &
-//! staleness analyzer** (`pcm-race`) consumes the same validator hook plus
+//! staleness analyzer** (`pcm-race`) consumes the same observer hook plus
 //! the simulator's shadow-memory events and reports W01–W04 findings
 //! through this crate's [`RuleId`]/[`Violation`] plumbing.
 

@@ -1,16 +1,16 @@
 //! Layer 1: the runtime protocol checker.
 //!
-//! A [`ProtocolChecker`] implements `pcm_sim::Validator` and inspects
-//! every superstep the machine executes. [`check_protocol`] installs one
-//! for the duration of a closure (through `pcm_sim::with_validator`) and
-//! returns every violation observed, so a test can run a whole algorithm
-//! and assert the list is empty — or deliberately provoke one rule and
-//! assert exactly that rule fired.
+//! A [`ProtocolChecker`] is a `pcm_sim::SuperstepProbe` that takes the
+//! per-step detail of every superstep the machine executes.
+//! [`check_protocol`] installs one for the duration of a closure (through
+//! `pcm_sim::with_probe`) and returns every violation observed, so a test
+//! can run a whole algorithm and assert the list is empty — or
+//! deliberately provoke one rule and assert exactly that rule fired.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pcm_sim::{with_validator, BlockRound, RunReport, StepReport, Validator};
+use pcm_sim::{with_probe, BlockRound, RunReport, StepObs, SuperstepProbe};
 
 use crate::discipline::Discipline;
 use crate::rules::{RuleId, Violation};
@@ -55,14 +55,22 @@ impl ProtocolChecker {
     }
 }
 
-impl Validator for ProtocolChecker {
-    fn check_step(&mut self, report: &StepReport<'_>) {
-        let step = report.step;
+impl SuperstepProbe for ProtocolChecker {
+    fn wants_detail(&self) -> bool {
+        true
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let step = obs.step;
+        let report = obs
+            .detail
+            .as_ref()
+            .expect("the protocol checker takes detail");
         let d = self.discipline;
 
         // R01: messages sent past the end of the machine.
-        for (pid, oobs) in report.oob_sends.iter().enumerate() {
-            for &dst in oobs {
+        for pid in 0..report.p {
+            for &dst in report.oob_sends(pid) {
                 self.push(
                     RuleId::DstRange,
                     step,
@@ -74,7 +82,7 @@ impl Validator for ProtocolChecker {
 
         // R02: delivered but never read before this barrier.
         for pid in 0..report.p {
-            if report.inbox_count[pid] > 0 && !report.inbox_read[pid] {
+            if report.inbox_count[pid] > 0 && !report.inbox_read(pid) {
                 self.push(
                     RuleId::UnreadInbox,
                     step,
@@ -130,7 +138,7 @@ impl Validator for ProtocolChecker {
 
         // R05: NaN / infinite / negative charges.
         for pid in 0..report.p {
-            if !report.charge_ok[pid] {
+            if !report.charge_ok(pid) {
                 self.push(
                     RuleId::BadCharge,
                     step,
@@ -147,20 +155,20 @@ impl Validator for ProtocolChecker {
         }
 
         // R07: the priced times themselves must be finite.
-        if !report.compute.as_micros().is_finite() {
+        if !obs.compute.as_micros().is_finite() {
             self.push(
                 RuleId::NonfiniteTime,
                 step,
                 None,
-                format!("compute time is {}", report.compute.as_micros()),
+                format!("compute time is {}", obs.compute.as_micros()),
             );
         }
-        if !report.comm.as_micros().is_finite() {
+        if !obs.comm.as_micros().is_finite() {
             self.push(
                 RuleId::NonfiniteTime,
                 step,
                 None,
-                format!("communication time is {}", report.comm.as_micros()),
+                format!("communication time is {}", obs.comm.as_micros()),
             );
         }
     }
@@ -198,11 +206,17 @@ fn hottest_dst(dsts: impl Iterator<Item = usize>) -> Option<usize> {
 /// Violations are reported in superstep order per machine; when `body`
 /// creates several machines their reports are interleaved in creation
 /// order.
+///
+/// # Panics
+///
+/// Inside another observer scope (`pcm_sim::with_probe` or
+/// `pcm_sim::extract_plans`, and so inside any tool built on them): a
+/// machine has one observer, and these scopes do not nest.
 pub fn check_protocol<R>(discipline: Discipline, body: impl FnOnce() -> R) -> (R, Vec<Violation>) {
     let sink: Rc<RefCell<Vec<Violation>>> = Rc::default();
     let handle = sink.clone();
-    let result = with_validator(
-        move |_p| Box::new(ProtocolChecker::new(discipline, handle.clone())) as Box<dyn Validator>,
+    let result = with_probe(
+        move |_p| Box::new(ProtocolChecker::new(discipline, handle.clone())),
         body,
     );
     let violations = sink.borrow().clone();

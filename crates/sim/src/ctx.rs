@@ -8,7 +8,7 @@ use crate::compute::ComputeModel;
 use crate::message::{
     pooled_f64s, pooled_u32s, pooled_u64s, Message, MsgKind, Payload, PayloadPool, ProcId,
 };
-use crate::shadow::{ConsumeFilter, RegionId, ShadowEvent};
+use crate::shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
 
 /// Per-processor scratch owned by the [`crate::machine::Machine`] and
 /// *lent* to a fresh [`Ctx`] each superstep, so the hot path reuses the
@@ -22,10 +22,15 @@ pub(crate) struct ProcAux {
     pub outbox: Vec<Message>,
     /// Recyclable heap payload buffers for this processor's sends.
     pub pool: PayloadPool,
-    /// Shadow events, in program order (empty unless validated).
+    /// Shadow events, in program order (empty unless a priced run's
+    /// observer takes per-step detail).
     pub events: Vec<ShadowEvent>,
     /// Destinations `>= p` whose messages were recorded and dropped.
     pub oob_sends: Vec<usize>,
+    /// Metadata of this superstep's outbox, captured before the exchange
+    /// drains it (empty unless a priced run's observer takes per-step
+    /// detail).
+    pub sent: Vec<SendMeta>,
     /// Compute time charged this superstep, in µs.
     pub compute_us: f64,
     /// `false` if any charge was NaN, infinite or negative.
@@ -71,11 +76,12 @@ pub struct Ctx<'a, S> {
     charge_ok: bool,
     read_inbox: Cell<bool>,
     oob_sends: &'a mut Vec<usize>,
-    /// `true` when a validator observes this run (softens fail-fast
-    /// asserts into recorded violations).
-    validated: bool,
+    /// `true` when a priced run's observer takes per-step detail (the
+    /// sanitizer, the race analyzer): records shadow events and softens
+    /// fail-fast asserts into recorded violations.
+    shadow: bool,
     /// Shadow-event stream for the happens-before analyzer; only populated
-    /// when validated. Interior mutability because the `msgs*` accessors
+    /// with `shadow`. Interior mutability because the `msgs*` accessors
     /// take `&self`.
     events: RefCell<&'a mut Vec<ShadowEvent>>,
     /// Deterministic per-processor-per-superstep rng, constructed lazily
@@ -97,7 +103,7 @@ impl<'a, S> Ctx<'a, S> {
         compute: &'a dyn ComputeModel,
         word: usize,
         rng_seed: u64,
-        validated: bool,
+        shadow: bool,
     ) -> Self {
         aux.outbox.clear();
         aux.events.clear();
@@ -123,7 +129,7 @@ impl<'a, S> Ctx<'a, S> {
             charge_ok: true,
             read_inbox: Cell::new(false),
             oob_sends,
-            validated,
+            shadow,
             events: RefCell::new(events),
             rng: None,
             rng_seed,
@@ -156,7 +162,7 @@ impl<'a, S> Ctx<'a, S> {
     // ---- local computation accounting -----------------------------------
 
     /// Accumulates a charge, recording (rather than panicking on) invalid
-    /// amounts so an installed validator can flag them (rule R05).
+    /// amounts so the sanitizer can flag them (rule R05).
     fn add_charge(&mut self, us: f64) {
         if !us.is_finite() || us < 0.0 {
             self.charge_ok = false;
@@ -205,10 +211,10 @@ impl<'a, S> Ctx<'a, S> {
 
     // ---- shadow instrumentation -----------------------------------------
 
-    /// Records a shadow event if a validator observes this run; free
+    /// Records a shadow event if `shadow` is set; free
     /// otherwise.
     fn record(&self, event: ShadowEvent) {
-        if self.validated {
+        if self.shadow {
             self.events.borrow_mut().push(event);
         }
     }
@@ -217,7 +223,7 @@ impl<'a, S> Ctx<'a, S> {
     /// the filter matched. Computed eagerly at accessor-call time so the
     /// analyzer sees the consume even if the returned iterator is dropped.
     fn record_consume(&self, filter: ConsumeFilter) {
-        if !self.validated {
+        if !self.shadow {
             return;
         }
         let mut matched = 0usize;
@@ -245,7 +251,7 @@ impl<'a, S> Ctx<'a, S> {
     }
 
     /// Declares that the processor read private region `region` this
-    /// superstep. A no-op unless a validator is installed; the happens-before
+    /// superstep. A no-op unless an observer takes detail; the happens-before
     /// analyzer (`pcm-race`) uses these to track dataflow through local
     /// state.
     pub fn touch_read(&self, region: RegionId) {
@@ -315,11 +321,12 @@ impl<'a, S> Ctx<'a, S> {
         payload: Payload,
     ) {
         if dst >= self.p {
-            // Record and drop: an installed validator reports this as rule
-            // R01; delivering it would corrupt another processor's inbox
-            // indexing. Unvalidated debug runs still fail fast.
+            // Record and drop: the sanitizer reports this as rule R01;
+            // delivering it would corrupt another processor's inbox
+            // indexing. Other debug runs (unobserved, traced, or dry
+            // plan extraction) still fail fast.
             debug_assert!(
-                self.validated,
+                self.shadow,
                 "destination {dst} out of range for {} processors",
                 self.p
             );

@@ -43,11 +43,11 @@ use crate::exchange::{ExchangeScratch, MAX_SHARDS};
 use crate::message::MsgKind;
 use crate::network::NetworkModel;
 use crate::pattern::{CommPattern, SendRecord};
-use crate::plan::{self, PlanRecorder, StepPlan};
-use crate::probe::{self, ExchangePath, PhaseNanos, StepObs, SuperstepProbe};
-use crate::shadow::{SendMeta, ShadowEvent};
+use crate::probe::{
+    self, ExchangePath, PhaseNanos, RunReport, StepDetail, StepObs, SuperstepProbe,
+};
+use crate::shadow::SendMeta;
 use crate::trace::{RunBreakdown, SuperstepTrace};
-use crate::validate::{self, RunReport, StepReport, Validator};
 
 /// A simulated distributed-memory parallel machine.
 pub struct Machine<S> {
@@ -65,43 +65,42 @@ pub struct Machine<S> {
     traces: Vec<SuperstepTrace>,
     tracing: bool,
     parallel: bool,
-    /// Sanitizer installed via [`crate::validate::with_validator`] at
-    /// construction time; observes every superstep and the final drop.
-    validator: Option<Box<dyn Validator>>,
-    /// Dry-run plan recorder installed via [`crate::plan::extract_plans`]
-    /// at construction time. When present the machine skips network
-    /// pricing and tracing, and clones each superstep's pattern instead.
-    plan: Option<PlanRecorder>,
+    /// Dry run, set by [`crate::plan::extract_plans`] at construction:
+    /// pricing and tracing are skipped and the clock stays at zero.
+    dry: bool,
     /// The superstep's communication pattern, rebuilt in place each step.
     pattern: CommPattern,
-    /// Per-destination message counts for the delivery pre-pass.
-    deliver_counts: Vec<usize>,
     /// Tracing scratch: words received per processor.
     stat_recv: Vec<usize>,
     /// Tracing scratch: per-processor activity flags.
     stat_active: Vec<bool>,
     /// Tracing scratch: per-round max block bytes.
     stat_round_max: Vec<usize>,
-    /// Exchange shard count. Above 1 (and with no validator or plan
-    /// recorder installed) the machine runs the sharded parallel exchange
-    /// engine; at 1 it keeps the sequential delivery path.
+    /// Exchange shard count. Above 1 (on a parallel machine) the machine
+    /// runs the sharded parallel exchange engine; at 1 the fused sweep.
     shards: usize,
     /// Reusable lane grid for the sharded exchange.
     exchange: ExchangeScratch,
-    /// Observability probe installed via [`crate::probe::with_probe`] at
-    /// construction time; observes every priced superstep. `None` on the
-    /// unprobed hot path — one discriminant test per superstep.
+    /// Observer installed via the [`crate::probe`] hook at construction
+    /// time; observes every superstep and the final drop. `None` on the
+    /// unobserved hot path — one discriminant test per superstep.
     probe: Option<Box<dyn SuperstepProbe>>,
-    /// Per-shard record scratch handed to the probe (allocated once at
-    /// construction, only when a probe is installed).
+    /// Whether the observer takes [`StepDetail`].
+    detail: bool,
+    /// Per-shard record scratch handed to the observer (allocated once at
+    /// construction, only when an observer is installed).
     probe_shards: Vec<u64>,
+    /// Per-processor inbox counts handed to the observer: captured before
+    /// each exchange for [`StepDetail`], and at drop for [`RunReport`].
+    inbox_counts: Vec<usize>,
 }
 
 /// Default shard count: one shard per pool worker, but only on machines
 /// big enough for the lane bookkeeping to pay off; small machines keep
-/// the sequential exchange.
+/// the fused sweep. A machine built on a pool worker gets one shard:
+/// `scoped_join` runs inline there, so lanes would buy nothing.
 fn default_shards(p: usize) -> usize {
-    if p >= 64 {
+    if p >= 64 && !rayon::in_pool_worker() {
         rayon::current_num_threads().min(MAX_SHARDS).min(p)
     } else {
         1
@@ -118,12 +117,9 @@ impl<S: Send> Machine<S> {
     ) -> Self {
         let p = states.len();
         assert!(p > 0, "a machine needs at least one processor");
-        let probe = probe::current_probe(p);
-        let probe_shards = if probe.is_some() {
-            vec![0u64; MAX_SHARDS]
-        } else {
-            Vec::new()
-        };
+        let hook = probe::current();
+        let probe = hook.probe.map(|factory| factory(p));
+        let observed = probe.is_some();
         Machine {
             p,
             procs: (0..p).map(|_| ProcAux::default()).collect(),
@@ -135,44 +131,35 @@ impl<S: Send> Machine<S> {
             net_rng: seeded(child_seed(seed, u64::MAX)),
             step_count: 0,
             traces: Vec::new(),
-            tracing: true,
-            parallel: !validate::sequential_forced(),
-            validator: validate::current_validator(p),
-            plan: plan::current_recorder(p),
+            tracing: !hook.dry,
+            parallel: !hook.sequential,
+            dry: hook.dry,
             pattern: CommPattern {
                 p,
                 sends: (0..p).map(|_| Vec::new()).collect(),
             },
-            deliver_counts: vec![0; p],
             stat_recv: vec![0; p],
             stat_active: vec![false; p],
             stat_round_max: Vec::new(),
-            shards: validate::forced_shards()
+            shards: hook
+                .shards
                 .map_or_else(|| default_shards(p), |s| s.clamp(1, p.min(MAX_SHARDS))),
             exchange: ExchangeScratch::default(),
+            detail: probe.as_ref().is_some_and(|o| o.wants_detail()),
             probe,
-            probe_shards,
+            probe_shards: if observed {
+                vec![0; MAX_SHARDS]
+            } else {
+                Vec::new()
+            },
+            inbox_counts: if observed { vec![0; p] } else { Vec::new() },
         }
     }
 
-    /// Disables per-superstep tracing (saves memory on very long runs).
+    /// Enables or disables per-superstep tracing (off saves memory on very
+    /// long runs). Dry runs never trace.
     pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    /// Forces sequential execution of processors (for the rayon ablation).
-    /// Also disables the sharded exchange: a sequential machine always
-    /// takes the single-threaded delivery path.
-    pub fn set_parallel(&mut self, on: bool) {
-        self.parallel = on;
-    }
-
-    /// Overrides the exchange shard count (clamped to
-    /// `[1, min(p, MAX_SHARDS)]`). At 1 the machine keeps the sequential
-    /// delivery path; above 1 it runs the sharded exchange engine whenever
-    /// no validator or plan recorder is installed.
-    pub fn set_exchange_shards(&mut self, shards: usize) {
-        self.shards = shards.clamp(1, self.p.min(MAX_SHARDS));
+        self.tracing = on && !self.dry;
     }
 
     /// The configured exchange shard count.
@@ -212,7 +199,7 @@ impl<S: Send> Machine<S> {
     }
 
     /// Consumes the machine, returning the final states. (The machine's
-    /// `Drop` — which finalizes an installed validator — still runs, on an
+    /// `Drop` — which finalizes an installed observer — still runs, on an
     /// empty state vector.)
     pub fn into_states(mut self) -> Vec<S> {
         std::mem::take(&mut self.states)
@@ -257,12 +244,15 @@ impl<S: Send> Machine<S> {
         let seed = self.seed;
         let compute: &dyn ComputeModel = &*self.compute;
         let word = compute.word_bytes();
-        let validated = self.validator.is_some();
+        // Shadow events and send metadata are for the sanitizer and the
+        // race analyzer; the plan recorder (the only observer of a dry
+        // run) reads neither.
+        let shadow = self.detail && !self.dry;
 
         let run_one = |pid: usize, state: &mut S, aux: &mut ProcAux| {
             let rng_seed = child_seed(seed, (step * p + pid) as u64);
             let outcome = {
-                let mut ctx = Ctx::new(pid, p, state, aux, compute, word, rng_seed, validated);
+                let mut ctx = Ctx::new(pid, p, state, aux, compute, word, rng_seed, shadow);
                 f(&mut ctx);
                 ctx.finish()
             };
@@ -273,7 +263,7 @@ impl<S: Send> Machine<S> {
 
         // A single-worker pool would run the par_iter pipeline inline
         // anyway; the plain loop skips its zip-chunk plumbing.
-        let t_compute = probe::mark(self.probe.is_some());
+        let t_compute = probe::mark(self.timed());
         if self.parallel && p > 1 && rayon::current_num_threads() > 1 {
             self.states
                 .par_iter_mut()
@@ -293,14 +283,25 @@ impl<S: Send> Machine<S> {
 
         let compute_ns = probe::since(t_compute);
 
-        // Exchange: pattern rebuild, pricing, tracing, delivery. The
-        // sharded engine needs neither validator reports nor plan clones,
-        // so those (rare, tooling-driven) configurations keep the
-        // sequential reference path — which is also what `with_sequential`
-        // and `set_parallel(false)` pin for the determinism auditors.
-        if self.validator.is_some() || self.plan.is_some() {
-            self.exchange_reference(step, compute_ns);
-        } else if self.parallel && self.shards > 1 {
+        // The exchange drains the outboxes and replaces the inboxes, so
+        // the only pre-exchange state the detail needs is captured first.
+        if self.detail {
+            for (aux, count) in self.procs.iter_mut().zip(&mut self.inbox_counts) {
+                *count = aux.inbox.len();
+            }
+        }
+        if shadow {
+            for aux in &mut self.procs {
+                aux.sent.clear();
+                aux.sent.extend(aux.outbox.iter().map(|m| SendMeta {
+                    dst: m.dst,
+                    tag: m.tag,
+                    kind: m.kind,
+                    words: m.logical_words as usize,
+                }));
+            }
+        }
+        if self.parallel && self.shards > 1 {
             self.exchange_sharded(step, compute_ns);
         } else {
             self.exchange_fused(step, compute_ns);
@@ -309,20 +310,41 @@ impl<S: Send> Machine<S> {
         self.step_count += 1;
     }
 
-    /// Reports one finished superstep to the installed probe (a no-op
+    /// Whether phases are timed: only for an observer of a priced run
+    /// (no observer of a dry run reads wall time).
+    fn timed(&self) -> bool {
+        self.probe.is_some() && !self.dry
+    }
+
+    /// Prices the finished pattern (skipped on dry runs) and advances the
+    /// clock; returns the superstep's `(compute, comm)` contribution.
+    fn price(&mut self, max_compute: f64, records: usize) -> (SimTime, SimTime) {
+        if self.dry {
+            return (SimTime::ZERO, SimTime::ZERO);
+        }
+        let comm = if records == 0 {
+            self.net.barrier()
+        } else {
+            self.net.route(&self.pattern, &mut self.net_rng)
+        };
+        let compute = SimTime::from_micros(max_compute);
+        self.clock += compute + comm;
+        (compute, comm)
+    }
+
+    /// Reports one finished superstep to the installed observer (a no-op
     /// without one). Runs after the clock update and delivery, reading
     /// only values the machine already computed, so it cannot perturb the
     /// simulation.
     fn notify_probe(
         &mut self,
         step: usize,
-        compute: SimTime,
-        comm: SimTime,
+        (compute, comm): (SimTime, SimTime),
         records: usize,
         path: ExchangePath,
         phases: PhaseNanos,
     ) {
-        let Some(mut probe) = self.probe.take() else {
+        let Some(probe) = self.probe.as_mut() else {
             return;
         };
         let shard_count = if path == ExchangePath::Sharded {
@@ -339,18 +361,31 @@ impl<S: Send> Machine<S> {
             path,
             shard_records: &self.probe_shards[..shard_count],
             phases,
-            memo: self.net.route_memo_stats(),
-            terms: self.net.cost_terms(),
+            memo: if self.dry {
+                None
+            } else {
+                self.net.route_memo_stats()
+            },
+            terms: if self.dry {
+                None
+            } else {
+                self.net.cost_terms()
+            },
+            detail: self.detail.then_some(StepDetail {
+                p: self.p,
+                pattern: &self.pattern,
+                inbox_count: &self.inbox_counts,
+                procs: &self.procs,
+            }),
         });
-        self.probe = Some(probe);
     }
 
     /// The sharded parallel exchange: scatter (pattern rebuild + lane
     /// fill), price, gather (delivery + recycle staging), sender-affine
     /// recycle, ordered trace-partial merge. Bit-identical to
-    /// [`Self::exchange_sequential`] — see `exchange.rs` for the argument.
+    /// [`Self::exchange_fused`] — see `exchange.rs` for the argument.
     fn exchange_sharded(&mut self, step: usize, compute_ns: u64) {
-        let probing = self.probe.is_some();
+        let probing = self.timed();
         let t = probe::mark(probing);
         let a = self.exchange.scatter(
             self.p,
@@ -362,14 +397,8 @@ impl<S: Send> Machine<S> {
         );
         let scatter_ns = probe::since(t);
         let t = probe::mark(probing);
-        let comm = if a.total_records == 0 {
-            self.net.barrier()
-        } else {
-            self.net.route(&self.pattern, &mut self.net_rng)
-        };
+        let cost = self.price(a.max_compute, a.total_records);
         let price_ns = probe::since(t);
-        let compute_time = SimTime::from_micros(a.max_compute);
-        self.clock += compute_time + comm;
         let t = probe::mark(probing);
         let b = self.exchange.gather(
             &mut self.procs,
@@ -385,8 +414,7 @@ impl<S: Send> Machine<S> {
         let recycle_ns = probe::since(t);
         self.notify_probe(
             step,
-            compute_time,
-            comm,
+            cost,
             a.total_records,
             ExchangePath::Sharded,
             PhaseNanos {
@@ -402,8 +430,8 @@ impl<S: Send> Machine<S> {
                 self.exchange.merge_rounds(&mut self.stat_round_max);
             self.traces.push(SuperstepTrace {
                 index: step,
-                compute: compute_time,
-                comm,
+                compute: cost.0,
+                comm: cost.1,
                 messages: a.messages,
                 bytes: a.bytes,
                 h_send: a.h_send,
@@ -418,16 +446,14 @@ impl<S: Send> Machine<S> {
         }
     }
 
-    /// Single-sweep sequential exchange for the common configuration (no
-    /// validator, no plan recorder): one pass over the outboxes both
-    /// rebuilds the pattern records and moves each message to its
+    /// The single-sweep sequential exchange: one pass over the outboxes
+    /// both rebuilds the pattern records and moves each message to its
     /// destination inbox, instead of touching every message twice.
     /// Delivery runs before pricing here, which is unobservable — pricing
     /// reads only the finished pattern and the network rng, delivery only
-    /// moves messages — so clock, traces and inbox contents are
-    /// bit-identical to [`Self::exchange_reference`].
+    /// moves messages.
     fn exchange_fused(&mut self, step: usize, compute_ns: u64) {
-        let probing = self.probe.is_some();
+        let probing = self.timed();
         let t = probe::mark(probing);
         let p = self.p;
         // Drop consumed inboxes first so delivery can append in place.
@@ -476,18 +502,11 @@ impl<S: Send> Machine<S> {
         }
         let gather_ns = probe::since(t);
         let t = probe::mark(probing);
-        let comm = if total_records == 0 {
-            self.net.barrier()
-        } else {
-            self.net.route(&self.pattern, &mut self.net_rng)
-        };
+        let cost = self.price(max_compute, total_records);
         let price_ns = probe::since(t);
-        let compute_time = SimTime::from_micros(max_compute);
-        self.clock += compute_time + comm;
         self.notify_probe(
             step,
-            compute_time,
-            comm,
+            cost,
             total_records,
             ExchangePath::Fused,
             PhaseNanos {
@@ -499,164 +518,7 @@ impl<S: Send> Machine<S> {
             },
         );
         if self.tracing {
-            self.record_trace(step, compute_time, comm);
-        }
-    }
-
-    /// The reference sequential exchange (the validator/plan-extraction
-    /// path, which needs the pattern and inboxes observed mid-phase).
-    fn exchange_reference(&mut self, step: usize, compute_ns: u64) {
-        let probing = self.probe.is_some();
-        let p = self.p;
-        // Rebuild the communication pattern in place and size each inbox
-        // for the delivery pre-pass, in one sweep over the outboxes.
-        let mut max_compute = 0.0f64;
-        let mut total_records = 0usize;
-        for c in &mut self.deliver_counts {
-            *c = 0;
-        }
-        for (src, aux) in self.procs.iter().enumerate() {
-            max_compute = max_compute.max(aux.compute_us);
-            let sends = &mut self.pattern.sends[src];
-            sends.clear();
-            sends.reserve(aux.outbox.len());
-            for m in &aux.outbox {
-                sends.push(SendRecord {
-                    dst: m.dst,
-                    words: m.logical_words as usize,
-                    bytes: m.logical_bytes as usize,
-                    kind: m.kind,
-                });
-                self.deliver_counts[m.dst] += 1;
-            }
-            total_records += aux.outbox.len();
-        }
-
-        // Dry-run extraction: clone the plan, skip pricing and tracing.
-        if let Some(rec) = self.plan.as_mut() {
-            rec.record(StepPlan {
-                step,
-                pattern: self.pattern.clone(),
-                inbox_count: self.procs.iter().map(|a| a.inbox.len()).collect(),
-                inbox_read: self.procs.iter().map(|a| a.read_inbox).collect(),
-            });
-        }
-        let dry_run = self.plan.is_some();
-
-        let t = probe::mark(probing);
-        let comm = if dry_run {
-            SimTime::ZERO
-        } else if total_records == 0 {
-            self.net.barrier()
-        } else {
-            self.net.route(&self.pattern, &mut self.net_rng)
-        };
-        let price_ns = probe::since(t);
-        let compute_time = if dry_run {
-            SimTime::ZERO
-        } else {
-            SimTime::from_micros(max_compute)
-        };
-        self.clock += compute_time + comm;
-        if !dry_run {
-            self.notify_probe(
-                step,
-                compute_time,
-                comm,
-                total_records,
-                ExchangePath::Reference,
-                PhaseNanos {
-                    compute: compute_ns,
-                    scatter: 0,
-                    price: price_ns,
-                    gather: 0,
-                    recycle: 0,
-                },
-            );
-        }
-
-        if self.tracing && !dry_run {
-            self.record_trace(step, compute_time, comm);
-        }
-
-        if let Some(validator) = self.validator.as_mut() {
-            let inbox_count: Vec<usize> = self.procs.iter().map(|a| a.inbox.len()).collect();
-            let compute_us: Vec<f64> = self.procs.iter().map(|a| a.compute_us).collect();
-            let charge_ok: Vec<bool> = self.procs.iter().map(|a| a.charge_ok).collect();
-            let read_flags: Vec<bool> = self.procs.iter().map(|a| a.read_inbox).collect();
-            let oob_sends: Vec<Vec<usize>> = self
-                .procs
-                .iter_mut()
-                .map(|a| std::mem::take(&mut a.oob_sends))
-                .collect();
-            let events: Vec<Vec<ShadowEvent>> = self
-                .procs
-                .iter_mut()
-                .map(|a| std::mem::take(&mut a.events))
-                .collect();
-            let sends: Vec<Vec<SendMeta>> = self
-                .procs
-                .iter()
-                .map(|aux| {
-                    aux.outbox
-                        .iter()
-                        .map(|m| SendMeta {
-                            dst: m.dst,
-                            tag: m.tag,
-                            kind: m.kind,
-                            words: m.logical_words as usize,
-                        })
-                        .collect()
-                })
-                .collect();
-            validator.check_step(&StepReport {
-                step,
-                p,
-                pattern: &self.pattern,
-                compute_us: &compute_us,
-                charge_ok: &charge_ok,
-                inbox_count: &inbox_count,
-                inbox_read: &read_flags,
-                oob_sends: &oob_sends,
-                events: &events,
-                sends: &sends,
-                compute: compute_time,
-                comm,
-            });
-        }
-
-        // Deliver. First pass: recycle consumed inbox payloads back to
-        // their senders' pools and size each inbox exactly; second pass:
-        // move outbox messages in (src, send-order) order so receivers
-        // observe the same deterministic sequence as before.
-        for dst in 0..p {
-            let need = self.deliver_counts[dst];
-            if self.procs[dst].inbox_heap == 0 {
-                // Recycling an inline payload is a no-op, so an inbox
-                // with no heap payloads can be dropped in place.
-                let aux = &mut self.procs[dst];
-                aux.inbox.clear();
-                aux.inbox.reserve(need);
-            } else {
-                let mut inbox = std::mem::take(&mut self.procs[dst].inbox);
-                for msg in inbox.drain(..) {
-                    let src = msg.src;
-                    self.procs[src].pool.recycle(msg.into_payload());
-                }
-                inbox.reserve(need);
-                let aux = &mut self.procs[dst];
-                aux.inbox = inbox;
-                aux.inbox_heap = 0;
-            }
-        }
-        for src in 0..p {
-            let mut outbox = std::mem::take(&mut self.procs[src].outbox);
-            for msg in outbox.drain(..) {
-                let aux = &mut self.procs[msg.dst];
-                aux.inbox_heap += usize::from(msg.payload_is_heap());
-                aux.inbox.push(msg);
-            }
-            self.procs[src].outbox = outbox;
+            self.record_trace(step, cost.0, cost.1);
         }
     }
 
@@ -754,14 +616,13 @@ impl<S: Send> Machine<S> {
 
 impl<S> Drop for Machine<S> {
     fn drop(&mut self) {
-        if let Some(rec) = self.plan.take() {
-            rec.finish(self.procs.iter().map(|a| a.inbox.len()).collect());
-        }
-        if let Some(validator) = self.validator.as_mut() {
-            let pending_inbox: Vec<usize> = self.procs.iter().map(|a| a.inbox.len()).collect();
-            validator.finish(&RunReport {
+        if let Some(probe) = self.probe.as_mut() {
+            for (count, aux) in self.inbox_counts.iter_mut().zip(&self.procs) {
+                *count = aux.inbox.len();
+            }
+            probe.finish(&RunReport {
                 supersteps: self.step_count,
-                pending_inbox: &pending_inbox,
+                pending_inbox: &self.inbox_counts,
             });
         }
     }
@@ -919,9 +780,8 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_execution_agree() {
-        let run = |parallel: bool| {
+        let run = || {
             let mut m = test_machine(16);
-            m.set_parallel(parallel);
             m.superstep(|ctx| {
                 ctx.charge(1.5);
                 let dst = (ctx.pid() * 5 + 3) % 16;
@@ -933,7 +793,7 @@ mod tests {
             });
             (m.time(), m.into_states())
         };
-        assert_eq!(run(true), run(false));
+        assert_eq!(run(), crate::probe::with_sequential(run));
     }
 
     #[test]

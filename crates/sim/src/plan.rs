@@ -16,17 +16,20 @@
 //!   into a [`StepPlan`], together with the per-processor inbox occupancy
 //!   and read flags the conservation rules (A01/A02) need.
 //!
-//! Like the validator hook in [`crate::validate`], the extraction scope is
-//! thread-local because algorithms construct machines internally. A
-//! machine's plan is finalized (pending inbox recorded, [`RunPlan`] pushed
-//! to the scope's sink) when the machine is dropped, so the closure passed
-//! to [`extract_plans`] must drop its machines before returning — every
-//! algorithm entry point in `pcm-algos` does.
+//! Extraction is an ordinary observer on the machine's one hook
+//! ([`crate::probe`]): the plan recorder opts into per-step detail and the
+//! scope sets the hook's dry flag, so the usual fused or sharded exchange
+//! runs with pricing skipped. A machine's plan is finalized (pending inbox
+//! recorded, [`RunPlan`] pushed to the scope's sink) when the machine is
+//! dropped, so the closure passed to [`extract_plans`] must drop its
+//! machines before returning — every algorithm entry point in `pcm-algos`
+//! does.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::pattern::CommPattern;
+use crate::probe::{self, RunReport, StepObs, SuperstepProbe};
 
 /// Everything the static analyzer knows about one superstep.
 #[derive(Clone, Debug)]
@@ -57,69 +60,59 @@ pub struct RunPlan {
 
 type PlanSink = Rc<RefCell<Vec<RunPlan>>>;
 
-/// Per-machine recorder handed out by [`current_recorder`]; finalized in
-/// the machine's `Drop`.
-pub(crate) struct PlanRecorder {
+/// The observer [`extract_plans`] gives each machine.
+struct PlanRecorder {
     sink: PlanSink,
-    current: RunPlan,
+    p: usize,
+    steps: Vec<StepPlan>,
 }
 
-impl PlanRecorder {
-    pub(crate) fn record(&mut self, step: StepPlan) {
-        self.current.steps.push(step);
+impl SuperstepProbe for PlanRecorder {
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let d = obs.detail.as_ref().expect("the plan recorder takes detail");
+        self.steps.push(StepPlan {
+            step: obs.step,
+            pattern: d.pattern.clone(),
+            inbox_count: d.inbox_count.to_vec(),
+            inbox_read: (0..d.p).map(|pid| d.inbox_read(pid)).collect(),
+        });
     }
 
-    pub(crate) fn finish(mut self, pending_inbox: Vec<usize>) {
-        self.current.pending_inbox = pending_inbox;
-        self.sink.borrow_mut().push(self.current);
+    fn wants_detail(&self) -> bool {
+        true
     }
-}
 
-thread_local! {
-    static PLAN_HOOK: RefCell<Option<PlanSink>> = const { RefCell::new(None) };
+    fn finish(&mut self, report: &RunReport<'_>) {
+        self.sink.borrow_mut().push(RunPlan {
+            p: self.p,
+            steps: std::mem::take(&mut self.steps),
+            pending_inbox: report.pending_inbox.to_vec(),
+        });
+    }
 }
 
 /// Runs `body` in dry-run extraction mode and returns its result plus the
-/// [`RunPlan`] of every machine it created (in drop order). Nests; the
-/// previous scope is restored on exit (also on panic).
+/// [`RunPlan`] of every machine it created (in drop order). The previous
+/// hook state is restored on exit (also on panic).
+///
+/// # Panics
+///
+/// If called inside another observer scope ([`crate::with_probe`] or this
+/// one): a machine has one observer, so the inner scope would silently
+/// take the outer one's machines.
 pub fn extract_plans<R>(body: impl FnOnce() -> R) -> (R, Vec<RunPlan>) {
     let sink: PlanSink = Rc::default();
-    let result = {
-        let _guard = PlanGuard::install(sink.clone());
-        body()
-    };
-    let plans = sink.borrow_mut().drain(..).collect();
-    (result, plans)
-}
-
-pub(crate) fn current_recorder(p: usize) -> Option<PlanRecorder> {
-    PLAN_HOOK.with(|h| {
-        h.borrow().as_ref().map(|sink| PlanRecorder {
-            sink: sink.clone(),
-            current: RunPlan {
-                p,
-                steps: Vec::new(),
-                pending_inbox: Vec::new(),
-            },
+    let hook = sink.clone();
+    let factory: probe::ProbeFactory = Rc::new(move |p| {
+        Box::new(PlanRecorder {
+            sink: hook.clone(),
+            p,
+            steps: Vec::new(),
         })
-    })
-}
-
-struct PlanGuard {
-    prev: Option<PlanSink>,
-}
-
-impl PlanGuard {
-    fn install(sink: PlanSink) -> Self {
-        let prev = PLAN_HOOK.with(|h| h.replace(Some(sink)));
-        PlanGuard { prev }
-    }
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        PLAN_HOOK.with(|h| *h.borrow_mut() = self.prev.take());
-    }
+    });
+    let result = probe::scoped(|h| probe::install(h, factory, true), body);
+    let plans = sink.take();
+    (result, plans)
 }
 
 #[cfg(test)]
@@ -208,18 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn extraction_scope_does_not_leak() {
-        let ((), plans) = extract_plans(|| machine(2).sync());
-        assert_eq!(plans.len(), 1);
-        let mut m = machine(2);
-        m.superstep(|ctx| ctx.charge(1.0));
-        assert!(
-            m.time() > SimTime::ZERO,
-            "outside the scope the machine prices normally"
-        );
-    }
-
-    #[test]
     fn plans_from_multiple_machines_arrive_in_drop_order() {
         let ((), plans) = extract_plans(|| {
             machine(2).sync();
@@ -231,5 +212,14 @@ mod tests {
         assert_eq!(plans[0].p, 2);
         assert_eq!(plans[1].p, 3);
         assert_eq!(plans[1].steps.len(), 2);
+    }
+
+    /// Plan extraction is not a sanitizer: an out-of-range send fails
+    /// fast in debug builds, as on an unobserved machine.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "out of range")]
+    fn dry_out_of_range_send_fails_fast_in_debug() {
+        extract_plans(|| machine(2).superstep(|ctx| ctx.send_word_u32(5, 1)));
     }
 }

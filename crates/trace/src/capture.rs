@@ -257,6 +257,12 @@ impl SuperstepProbe for RingProbe {
 ///
 /// Machines must not outlive `body` — the capture is single-owner again
 /// when this returns.
+///
+/// # Panics
+///
+/// Inside another observer scope (`pcm_sim::with_probe` or
+/// `pcm_sim::extract_plans`, and so inside any tool built on them): a
+/// machine has one observer, and these scopes do not nest.
 pub fn capture<R>(body: impl FnOnce() -> R) -> (R, Capture) {
     capture_sized(DEFAULT_ROW_CAP, DEFAULT_LANE_CAP, body)
 }

@@ -6,16 +6,20 @@
 //!
 //! * every algorithm family × machine × shard count ∈ {1, 2, 7, p}
 //!   produces the same simulated time and run digest as the forced
-//!   sequential reference;
+//!   sequential reference, hands a detail-taking observer the same
+//!   per-step detail, and yields the same extracted plans;
 //! * a heap-payload-heavy raw machine run matches sequentially bit-for-bit
 //!   across shard counts, and recycled (sender-affine) payload buffers
 //!   never leak stale bytes into later supersteps;
-//! * the shard-count plumbing (default heuristic, thread-local override,
-//!   setter clamping) resolves as documented.
+//! * the shard-count plumbing (default heuristic, one shard on pool
+//!   workers, clamped thread-local override) resolves as documented.
 
 // Tests assert exact simulated values and cast small pids freely.
 #![allow(clippy::cast_possible_truncation)]
 
+use std::cell::RefCell;
+use std::fmt::Write;
+use std::rc::Rc;
 use std::sync::{Arc, Once};
 
 use pcm::algos::apsp::{self, ApspVariant};
@@ -26,10 +30,12 @@ use pcm::algos::sort::parallel_radix::{self, RadixVariant};
 use pcm::algos::sort::sample::{self, SampleVariant};
 use pcm::algos::vendor;
 use pcm::algos::RunResult;
+use pcm::experiments::map_ordered;
 use pcm::Platform;
 use pcm_check::Digest;
 use pcm_sim::{
-    with_exchange_shards, with_sequential, IdealNetwork, Machine, UniformCompute, MAX_SHARDS,
+    extract_plans, with_exchange_shards, with_probe, with_sequential, IdealNetwork, Machine,
+    RunReport, StepObs, SuperstepProbe, UniformCompute, MAX_SHARDS,
 };
 
 const SEED: u64 = 2026;
@@ -68,6 +74,65 @@ fn digest_run(r: &RunResult) -> u64 {
     d.push_usize(r.stats.max_bucket);
     d.push_f64(r.stats.mflops);
     d.finish()
+}
+
+/// Writes every observed step's full detail (costs, pattern, inbox
+/// counts, per-processor flags, shadow events and send metadata) and the
+/// drop report as one text line each, for line-by-line comparison.
+struct DetailRecorder {
+    log: Rc<RefCell<Vec<String>>>,
+}
+
+impl SuperstepProbe for DetailRecorder {
+    fn wants_detail(&self) -> bool {
+        true
+    }
+
+    fn observe(&mut self, obs: &StepObs<'_>) {
+        let d = obs.detail.as_ref().expect("detail requested");
+        let mut line = format!(
+            "step {} compute {:#x} comm {:#x} clock {:#x} records {} pattern {:?} inbox {:?}",
+            obs.step,
+            obs.compute.as_micros().to_bits(),
+            obs.comm.as_micros().to_bits(),
+            obs.clock.as_micros().to_bits(),
+            obs.records,
+            d.pattern.sends,
+            d.inbox_count,
+        );
+        for pid in 0..d.p {
+            write!(
+                line,
+                " | {pid}: {:#x} {} {} {:?} {:?} {:?}",
+                d.compute_us(pid).to_bits(),
+                d.charge_ok(pid),
+                d.inbox_read(pid),
+                d.oob_sends(pid),
+                d.events(pid),
+                d.sends(pid),
+            )
+            .expect("write to a String");
+        }
+        self.log.borrow_mut().push(line);
+    }
+
+    fn finish(&mut self, r: &RunReport<'_>) {
+        self.log.borrow_mut().push(format!(
+            "finish after {} pending {:?}",
+            r.supersteps, r.pending_inbox
+        ));
+    }
+}
+
+/// Runs `run` with a [`DetailRecorder`] on every machine it creates.
+fn record_detail<R>(run: impl FnOnce() -> R) -> Vec<String> {
+    let log: Rc<RefCell<Vec<String>>> = Rc::default();
+    let sink = log.clone();
+    with_probe(
+        move |_p| Box::new(DetailRecorder { log: sink.clone() }),
+        run,
+    );
+    log.take()
 }
 
 type KernelRun<'a> = Box<dyn Fn() -> RunResult + 'a>;
@@ -113,8 +178,9 @@ fn family_runs(plat: &Platform) -> Vec<(&'static str, KernelRun<'_>)> {
 }
 
 /// Every algorithm family × machine × shard count produces the same
-/// simulated time and digest as the forced sequential reference. Shard
-/// count 1 keeps the sequential delivery path (control), 2 and 7 cut the
+/// simulated time and digest as the forced sequential reference, the same
+/// per-step detail for a detail-taking observer, and the same extracted
+/// plans. Shard count 1 keeps the fused sweep (control), 2 and 7 cut the
 /// 16-processor machines unevenly, and `p` puts every processor in its
 /// own shard.
 #[test]
@@ -130,6 +196,8 @@ fn sharded_exchange_is_bit_identical_across_families() {
                 plat.name()
             );
             let ref_digest = digest_run(&reference);
+            let ref_detail = with_sequential(|| record_detail(&run));
+            let ref_plans = format!("{:?}", with_sequential(|| extract_plans(&run).1));
             for shards in [1usize, 2, 7, p] {
                 let sharded = with_exchange_shards(shards, &run);
                 assert_eq!(
@@ -142,6 +210,23 @@ fn sharded_exchange_is_bit_identical_across_families() {
                     digest_run(&sharded),
                     ref_digest,
                     "{label} on {} shards={shards}: run digest diverged",
+                    plat.name()
+                );
+                let detail = with_exchange_shards(shards, || record_detail(&run));
+                assert_eq!(detail.len(), ref_detail.len(), "{label}: step count");
+                for (got, want) in detail.iter().zip(&ref_detail) {
+                    assert_eq!(
+                        got,
+                        want,
+                        "{label} on {} shards={shards}: step detail diverged",
+                        plat.name()
+                    );
+                }
+                let plans = with_exchange_shards(shards, || extract_plans(&run).1);
+                assert_eq!(
+                    format!("{plans:?}"),
+                    ref_plans,
+                    "{label} on {} shards={shards}: extracted plans diverged",
                     plat.name()
                 );
             }
@@ -177,23 +262,20 @@ fn sharded_machine_matches_forced_sequential() {
             });
         }
     };
-    let run = |shards: Option<usize>| {
+    let run = || {
         let mut m = Machine::new(
             Box::new(IdealNetwork),
             Arc::new(UniformCompute::test_model()),
             vec![0u64; p],
             SEED,
         );
-        if let Some(s) = shards {
-            m.set_exchange_shards(s);
-        }
         workload(&mut m);
         (m.time().as_micros().to_bits(), m.into_states())
     };
-    let sequential = with_sequential(|| run(None));
+    let sequential = with_sequential(run);
     for shards in [2usize, 7, 64, 1000] {
         assert_eq!(
-            run(Some(shards)),
+            with_exchange_shards(shards, run),
             sequential,
             "shards={shards} diverged from sequential"
         );
@@ -208,13 +290,15 @@ fn sharded_machine_matches_forced_sequential() {
 fn sharded_recycle_never_leaks_stale_data() {
     force_pool();
     let p = 64;
-    let mut m = Machine::new(
-        Box::new(IdealNetwork),
-        Arc::new(UniformCompute::test_model()),
-        vec![0u32; p],
-        SEED,
-    );
-    m.set_exchange_shards(7);
+    let mut m = with_exchange_shards(7, || {
+        Machine::new(
+            Box::new(IdealNetwork),
+            Arc::new(UniformCompute::test_model()),
+            vec![0u32; p],
+            SEED,
+        )
+    });
+    assert_eq!(m.exchange_shards(), 7);
     // Round 1: long, distinctive heap payloads (128 bytes each) crossing
     // shard boundaries (the +1 ring wraps through every shard cut).
     m.superstep(|ctx| {
@@ -248,9 +332,9 @@ fn sharded_recycle_never_leaks_stale_data() {
 }
 
 /// The shard-count plumbing: the default heuristic follows the pool
-/// width on big machines and stays sequential on small ones; the
-/// thread-local override wins over the heuristic; the setter clamps to
-/// `[1, min(p, MAX_SHARDS)]`.
+/// width on big machines, stays on the fused sweep on small ones and on
+/// machines built on a pool worker; the thread-local override wins over
+/// the heuristic everywhere and clamps to `[1, min(p, MAX_SHARDS)]`.
 #[test]
 fn shard_count_resolution_is_documented_behavior() {
     force_pool();
@@ -265,20 +349,29 @@ fn shard_count_resolution_is_documented_behavior() {
     // Heuristic: pool width (4) on machines with p >= 64, 1 below.
     assert_eq!(machine(64).exchange_shards(), 4);
     assert_eq!(machine(16).exchange_shards(), 1);
-    // The override wins over the heuristic, clamped to p.
+    // The override wins over the heuristic, clamped to [1, min(p, MAX_SHARDS)].
     with_exchange_shards(7, || {
         assert_eq!(machine(64).exchange_shards(), 7);
         assert_eq!(machine(3).exchange_shards(), 3);
     });
+    with_exchange_shards(1000, || {
+        assert_eq!(machine(64).exchange_shards(), MAX_SHARDS);
+        assert_eq!(machine(8).exchange_shards(), 8);
+    });
+    with_exchange_shards(0, || assert_eq!(machine(64).exchange_shards(), 1));
     // Outside the scope the heuristic applies again.
     assert_eq!(machine(16).exchange_shards(), 1);
-    // The setter clamps to [1, min(p, MAX_SHARDS)].
-    let mut m = machine(64);
-    m.set_exchange_shards(1000);
-    assert_eq!(m.exchange_shards(), MAX_SHARDS);
-    m.set_exchange_shards(0);
-    assert_eq!(m.exchange_shards(), 1);
-    let mut small = machine(8);
-    small.set_exchange_shards(1000);
-    assert_eq!(small.exchange_shards(), 8);
+    // On a pool worker `scoped_join` runs inline, so machines built there
+    // keep one shard unless forced; sweep units the caller runs itself
+    // follow the heuristic.
+    let default_on = map_ordered(vec![(); 8], |_, ()| {
+        (rayon::in_pool_worker(), machine(64).exchange_shards())
+    });
+    for (on_worker, shards) in default_on {
+        assert_eq!(shards, if on_worker { 1 } else { 4 });
+    }
+    let forced_on = map_ordered(vec![(); 8], |_, ()| {
+        with_exchange_shards(7, || machine(64).exchange_shards())
+    });
+    assert_eq!(forced_on, vec![7; 8]);
 }
