@@ -1,8 +1,9 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test test-all sanitize race golden shard audit sym trace trace-gate analyze doc fmt clippy bench bench-smoke bench-scaling bench-pricing pricing-gate
+.PHONY: ci build test test-all sanitize race golden shard audit sym sym-drift trace trace-smoke trace-drift trace-gate analyze doc fmt clippy clippy-race bench bench-compile bench-smoke bench-scaling bench-pricing pricing-smoke pricing-gate
 
-ci: build test-all audit sym doc fmt clippy
+# Same steps, same order as the workflow.
+ci: build test-all audit sym sym-drift trace-smoke trace-drift bench-compile bench-smoke pricing-smoke bench-scaling doc fmt clippy clippy-race
 
 build:
 	cargo build --release
@@ -36,19 +37,31 @@ audit:
 sym:
 	cargo run --release -p pcm-sym --bin pcm-sym -- --out SYM_report.json
 
+# The committed symbolic report must regenerate byte-identically.
+sym-drift:
+	git diff --exit-code SYM_report.json
+
 # Superstep tracing: replay the pinned grid with tracing on, prove exact
 # cost attribution, regenerate TRACE_report.json and a Chrome/Perfetto
 # trace (TRACE_chrome.json, not committed — it carries wall-clock args).
 trace:
 	cargo run --release -p pcm-trace --bin pcm-trace -- --export chrome
 
-# Tracing gates: bit-identical attribution + zero perturbation, the
-# zero-allocation hot path with tracing ON, and report drift.
-trace-gate:
-	cargo test -q --test trace
-	cargo test -q --test hotpath_alloc
+# Fast replay subset: exact attribution on two families; writes a
+# throwaway report.
+trace-smoke:
+	cargo run --release -p pcm-trace --bin pcm-trace -- --fast --out /tmp/TRACE_fast.json
+
+# The committed attribution report must regenerate byte-identically.
+trace-drift:
 	cargo run --release -p pcm-trace --bin pcm-trace
 	git diff --exit-code TRACE_report.json
+
+# Tracing gates: bit-identical attribution + zero perturbation, the
+# zero-allocation hot path with tracing ON, and report drift.
+trace-gate: trace-drift
+	cargo test -q --test trace
+	cargo test -q --test hotpath_alloc
 
 # Every static analyzer in one pass.
 analyze: sanitize race audit sym trace-gate
@@ -60,6 +73,9 @@ doc:
 bench:
 	cargo bench
 	cargo run --release -p pcm-bench --bin bench-report
+
+bench-compile:
+	cargo bench --no-run
 
 # Fast sanity pass over every bench kernel; writes no report.
 bench-smoke:
@@ -80,6 +96,10 @@ bench-pricing:
 	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/router_fastpath/1024
 	cargo run --release -p pcm-bench --bin bench-report -- --child pricing/router_slowpath/1024
 
+# One warm-memo route row under the smoke time budget.
+pricing-smoke:
+	cargo run --release -p pcm-bench --bin bench-report -- --smoke --child pricing/route_warm/MasPar
+
 # Route-memo differential gate: memo on vs off must be bit-identical, and
 # the rewritten router must match the reference implementation.
 pricing-gate:
@@ -91,3 +111,8 @@ fmt:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# pcm-race carries #![warn(clippy::pedantic)] in-crate; -D warnings
+# promotes it without leaking pedantic into dependency crates.
+clippy-race:
+	cargo clippy -p pcm-race --all-targets -- -D warnings

@@ -842,6 +842,16 @@ fn speedups(results: &[BenchResult], base: &Baseline) -> Vec<(String, f64)> {
         .collect()
 }
 
+/// Prints a one-line error with the usage and exits with status 2 (bad
+/// command line).
+fn fail(msg: &str) -> ! {
+    eprintln!(
+        "bench-report: {msg} (usage: bench-report [--smoke] [--scaling] [--out FILE] \
+         [--baseline FILE])"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut smoke = false;
     let mut scaling_requested = false;
@@ -850,27 +860,24 @@ fn main() {
     let mut baseline_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
             "--smoke" => smoke = true,
             "--scaling" => scaling_requested = true,
-            "--child" => {
-                let Some(name) = args.next() else {
-                    eprintln!("--child needs a bench name");
-                    std::process::exit(2);
-                };
-                child_bench = Some(name);
-            }
-            "--out" => out_path = args.next(),
-            "--baseline" => baseline_path = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: bench-report [--smoke] [--scaling] [--out FILE] [--baseline FILE]"
-                );
-                std::process::exit(2);
-            }
+            "--child" => child_bench = Some(value()),
+            "--out" => out_path = Some(value()),
+            "--baseline" => baseline_path = Some(value()),
+            other => fail(&format!("unknown argument: {other}")),
         }
     }
+    // Read the baseline before the suite runs, so a bad path fails fast.
+    let baseline = baseline_path.map(|p| match std::fs::read_to_string(&p) {
+        Ok(text) => parse_baseline(&text),
+        Err(e) => fail(&format!("cannot read baseline {p}: {e}")),
+    });
 
     let cfg = Config::new(smoke);
 
@@ -900,12 +907,6 @@ fn main() {
     let scaling = (!smoke || scaling_requested).then(|| {
         eprintln!("bench-report: recording scaling curves ...");
         run_scaling(&cfg)
-    });
-
-    let baseline = baseline_path.map(|p| {
-        let text =
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("cannot read baseline {p}: {e}"));
-        parse_baseline(&text)
     });
 
     println!("{:<44} {:>14} {:>16}", "bench", "ns/iter", "msgs/sec");

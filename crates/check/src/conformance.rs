@@ -11,14 +11,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use pcm_models::{ContractBreach, CostContract};
-use pcm_sim::{with_probe, StepObs, SuperstepProbe, SuperstepTrace};
+use pcm_sim::{with_probe, StepObs, SuperstepProbe, SuperstepTrace, TraceScratch};
 
 use crate::rules::{RuleId, Violation};
 
-/// An observer that reconstructs the [`SuperstepTrace`] stream of every
-/// machine created in its scope.
+/// An observer that measures the [`SuperstepTrace`] stream of every
+/// machine created in its scope from each step's finished pattern.
 struct TraceCollector {
     sink: Rc<RefCell<Vec<SuperstepTrace>>>,
+    scratch: TraceScratch,
 }
 
 impl SuperstepProbe for TraceCollector {
@@ -27,28 +28,14 @@ impl SuperstepProbe for TraceCollector {
     }
 
     fn observe(&mut self, obs: &StepObs<'_>) {
-        let pattern = obs
-            .detail
-            .as_ref()
-            .expect("the collector takes detail")
-            .pattern;
-        let (word_msgs, block_msgs, xnet_msgs) = pattern.kind_counts();
-        let block_rounds = pattern.block_rounds();
-        self.sink.borrow_mut().push(SuperstepTrace {
-            index: obs.step,
-            compute: obs.compute,
-            comm: obs.comm,
-            messages: pattern.total_messages(),
-            bytes: pattern.total_bytes(),
-            h_send: pattern.h_send(),
-            h_recv: pattern.h_recv(),
-            active: pattern.active_processors(),
-            block_steps: block_rounds.len(),
-            block_bytes_sum: block_rounds.iter().map(|r| r.max_bytes()).sum(),
-            word_msgs,
-            block_msgs,
-            xnet_msgs,
-        });
+        let detail = obs.detail.as_ref().expect("the collector takes detail");
+        self.sink.borrow_mut().push(SuperstepTrace::measure(
+            obs.step,
+            obs.compute,
+            obs.comm,
+            detail.pattern,
+            &mut self.scratch,
+        ));
     }
 }
 
@@ -67,6 +54,7 @@ pub fn collect_traces<R>(body: impl FnOnce() -> R) -> (R, Vec<SuperstepTrace>) {
         move |_p| {
             Box::new(TraceCollector {
                 sink: handle.clone(),
+                scratch: TraceScratch::default(),
             })
         },
         body,

@@ -26,12 +26,12 @@ fn main() {
         match arg.as_str() {
             "--quick" => scale = Scale::Quick,
             "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed needs an integer");
+                let Some(n) = it.next().and_then(|s| s.parse().ok()) else {
+                    fail("--seed needs an integer");
+                };
+                seed = n;
             }
-            "--out" => out_dir = Some(it.next().expect("--out needs a directory")),
+            "--out" => out_dir = Some(it.next().unwrap_or_else(|| fail("--out needs a directory"))),
             "list" => {
                 for e in registry() {
                     println!("{:8} {}", e.id, e.title);
@@ -59,15 +59,24 @@ fn main() {
         std::process::exit(2);
     }
 
+    // Every id is checked before the first target runs.
+    let exps: Vec<_> = targets
+        .iter()
+        .map(|id| {
+            pcm_experiments::find(id).unwrap_or_else(|| {
+                fail(&format!("unknown experiment `{id}` — try `reproduce list`"))
+            })
+        })
+        .collect();
+
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).expect("cannot create output directory");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            fail(&format!("cannot create output directory {dir}: {e}"));
+        }
     }
 
-    for id in targets {
-        let Some(exp) = pcm_experiments::find(&id) else {
-            eprintln!("unknown experiment `{id}` — try `reproduce list`");
-            std::process::exit(2);
-        };
+    for exp in exps {
+        let id = exp.id;
         eprintln!("== {} — {} ==", exp.id, exp.title);
         let start = Instant::now();
         let output: Output = (exp.run)(scale, seed);
@@ -80,6 +89,12 @@ fn main() {
             f.write_all(text.as_bytes()).unwrap();
         }
     }
+}
+
+/// Prints a one-line error and exits with status 2 (bad command line).
+fn fail(msg: &str) -> ! {
+    eprintln!("reproduce: {msg}");
+    std::process::exit(2);
 }
 
 fn usage() {

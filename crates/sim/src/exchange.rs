@@ -1,8 +1,8 @@
 //! Destination-sharded parallel exchange engine.
 //!
 //! The superstep exchange phase — communication-pattern rebuild,
-//! outbox→inbox delivery, payload recycling and trace-stat accumulation —
-//! is inherently all-to-all: every source may write into every
+//! outbox→inbox delivery and payload recycling — is inherently
+//! all-to-all: every source may write into every
 //! destination's inbox, and every consumed payload flows back to its
 //! *sender's* pool. To run it shard-parallel with zero locks, the engine
 //! partitions the `p` simulated processors into `S` contiguous shards and
@@ -16,8 +16,8 @@
 //!
 //! * **Scatter** — each source shard drains its outboxes in `(src,
 //!   send-order)` order into its own `S` outgoing lanes, rebuilding the
-//!   shard's slice of the [`CommPattern`] and accumulating per-shard trace
-//!   partials on the way. No two shards touch the same lane.
+//!   shard's slice of the [`CommPattern`] on the way. No two shards touch
+//!   the same lane.
 //! * **Transpose** — the coordinator swaps the `S²` lane `Vec` *headers*
 //!   (pointer/len/capacity, no element moves) so every destination shard
 //!   owns the column of lanes aimed at it. Capacities travel with the
@@ -32,11 +32,9 @@
 //!   way, and returned sender-parallel to each [`PayloadPool`] in exactly
 //!   the sequential recycle order (destination-ascending per sender).
 //!
-//! Trace statistics merge as an ordered tree-reduce: every per-shard
-//! partial (message/byte sums, `h` maxima, per-round block maxima, active
-//! counts) is combined in ascending shard order; all merged quantities are
-//! integer sums/maxima or a no-NaN `f64` max, so the result is bit-
-//! identical to the sequential single-pass accumulation.
+//! The engine only delivers: the superstep trace is measured afterwards
+//! from the finished pattern, exactly as on the fused sweep (see
+//! [`crate::trace::SuperstepTrace::measure`]).
 //!
 //! The fan-out itself uses the rayon shim's [`rayon::scoped_join`]: chunk
 //! descriptors live on the caller's stack, shards map one-to-one onto
@@ -47,7 +45,7 @@
 //! [`PayloadPool`]: crate::message::PayloadPool
 
 use crate::ctx::ProcAux;
-use crate::message::{Message, MsgKind, Payload};
+use crate::message::{Message, Payload};
 use crate::pattern::{CommPattern, SendRecord};
 
 /// Upper bound on exchange shards. Keeps the per-superstep task
@@ -91,44 +89,13 @@ impl Geom {
     }
 }
 
-/// Per-shard trace partials, merged in ascending shard order after each
-/// parallel phase. Scatter fills the source-side fields; gather fills the
-/// destination-side fields (`h_recv`, `active`, `heap_staged`).
+/// Per-shard scatter and gather counters, merged in ascending shard
+/// order after each parallel phase.
 #[derive(Debug, Default)]
 struct ShardStats {
     records: usize,
-    messages: usize,
-    bytes: usize,
-    h_send: usize,
-    word_msgs: usize,
-    block_msgs: usize,
-    xnet_msgs: usize,
     max_compute: f64,
-    /// Per-round max block bytes among this shard's sources.
-    round_max_block: Vec<usize>,
-    /// Per-round max xnet bytes among this shard's sources.
-    round_max_xnet: Vec<usize>,
-    h_recv: usize,
-    active: usize,
     heap_staged: usize,
-}
-
-impl ShardStats {
-    fn reset(&mut self) {
-        self.records = 0;
-        self.messages = 0;
-        self.bytes = 0;
-        self.h_send = 0;
-        self.word_msgs = 0;
-        self.block_msgs = 0;
-        self.xnet_msgs = 0;
-        self.max_compute = 0.0;
-        self.round_max_block.clear();
-        self.round_max_xnet.clear();
-        self.h_recv = 0;
-        self.active = 0;
-        self.heap_staged = 0;
-    }
 }
 
 /// One shard's lane endpoints and scratch. All vectors keep their
@@ -165,22 +132,6 @@ impl ShardSlot {
 pub(crate) struct ScatterSummary {
     pub total_records: usize,
     pub max_compute: f64,
-    pub messages: usize,
-    pub bytes: usize,
-    pub h_send: usize,
-    pub word_msgs: usize,
-    pub block_msgs: usize,
-    pub xnet_msgs: usize,
-}
-
-/// Destination-side merge of one superstep's gather phase.
-#[derive(Debug, Default)]
-pub(crate) struct GatherSummary {
-    pub h_recv: usize,
-    pub active: usize,
-    /// Heap payloads staged for sender-affine recycling; when zero the
-    /// recycle phase is skipped entirely.
-    pub heap_staged: usize,
 }
 
 /// Reusable lane grid + per-shard scratch for the sharded exchange.
@@ -222,37 +173,20 @@ fn rec_lanes(slot: &mut ShardSlot) -> LanePair<'_, (usize, Vec<u8>)> {
     (&mut slot.rec_out, &mut slot.rec_in)
 }
 
-/// Records `bytes` as round `round`'s candidate maximum.
-#[inline]
-fn bump_round(round_max: &mut Vec<usize>, round: usize, bytes: usize) {
-    if round == round_max.len() {
-        round_max.push(bytes);
-    } else {
-        round_max[round] = round_max[round].max(bytes);
-    }
-}
-
 /// Scatter-phase task: one source shard's slice of every per-processor
 /// structure, plus its lane slot. Built fresh (on the stack) each phase.
 struct ScatterTask<'a> {
     geom: Geom,
-    tracing: bool,
     procs: &'a mut [ProcAux],
     sends: &'a mut [Vec<SendRecord>],
-    active: &'a mut [bool],
     slot: &'a mut ShardSlot,
 }
 
 fn run_scatter(t: &mut ScatterTask<'_>) {
     let ShardSlot { out, stats, .. } = &mut *t.slot;
-    stats.reset();
+    *stats = ShardStats::default();
     for lane in out.iter_mut() {
         lane.clear();
-    }
-    if t.tracing {
-        for a in t.active.iter_mut() {
-            *a = false;
-        }
     }
     for (k, aux) in t.procs.iter_mut().enumerate() {
         stats.max_compute = stats.max_compute.max(aux.compute_us);
@@ -260,9 +194,6 @@ fn run_scatter(t: &mut ScatterTask<'_>) {
         sends.clear();
         sends.reserve(aux.outbox.len());
         stats.records += aux.outbox.len();
-        let mut sent_words = 0usize;
-        let mut block_round = 0usize;
-        let mut xnet_round = 0usize;
         for m in aux.outbox.drain(..) {
             sends.push(SendRecord {
                 dst: m.dst,
@@ -270,56 +201,17 @@ fn run_scatter(t: &mut ScatterTask<'_>) {
                 bytes: m.logical_bytes as usize,
                 kind: m.kind,
             });
-            if t.tracing {
-                stats.bytes += m.logical_bytes as usize;
-                match m.kind {
-                    MsgKind::Words => {
-                        stats.messages += m.logical_words as usize;
-                        stats.word_msgs += m.logical_words as usize;
-                        sent_words += m.logical_words as usize;
-                    }
-                    MsgKind::Block => {
-                        stats.messages += 1;
-                        stats.block_msgs += 1;
-                        bump_round(
-                            &mut stats.round_max_block,
-                            block_round,
-                            m.logical_bytes as usize,
-                        );
-                        block_round += 1;
-                    }
-                    MsgKind::Xnet => {
-                        stats.messages += 1;
-                        stats.xnet_msgs += 1;
-                        bump_round(
-                            &mut stats.round_max_xnet,
-                            xnet_round,
-                            m.logical_bytes as usize,
-                        );
-                        xnet_round += 1;
-                    }
-                }
-                if m.logical_words > 0 {
-                    t.active[k] = true;
-                }
-            }
             out[t.geom.shard_of(m.dst)].push(m);
-        }
-        if t.tracing {
-            stats.h_send = stats.h_send.max(sent_words);
         }
     }
 }
 
-/// Gather-phase task: one destination shard's inbox slice, stat slices
-/// and (transposed) incoming lanes.
+/// Gather-phase task: one destination shard's inbox slice and
+/// (transposed) incoming lanes.
 struct GatherTask<'a> {
     geom: Geom,
-    tracing: bool,
     base: usize,
     procs: &'a mut [ProcAux],
-    recv: &'a mut [usize],
-    active: &'a mut [bool],
     slot: &'a mut ShardSlot,
 }
 
@@ -332,11 +224,6 @@ fn run_gather(t: &mut GatherTask<'_>) {
     } = &mut *t.slot;
     for lane in rec_out.iter_mut() {
         lane.clear();
-    }
-    if t.tracing {
-        for v in t.recv.iter_mut() {
-            *v = 0;
-        }
     }
     // Drain last superstep's consumed inboxes, staging heap payloads
     // toward their senders' shards in (dst ascending, inbox order) —
@@ -361,22 +248,10 @@ fn run_gather(t: &mut GatherTask<'_>) {
     // (src ascending, send order) inbox sequence exactly.
     for lane in inb.iter_mut() {
         for msg in lane.drain(..) {
-            let k = msg.dst - t.base;
-            if t.tracing {
-                if msg.kind == MsgKind::Words {
-                    t.recv[k] += msg.logical_words as usize;
-                }
-                if msg.logical_words > 0 {
-                    t.active[k] = true;
-                }
-            }
-            t.procs[k].inbox_heap += usize::from(msg.payload_is_heap());
-            t.procs[k].inbox.push(msg);
+            let aux = &mut t.procs[msg.dst - t.base];
+            aux.inbox_heap += usize::from(msg.payload_is_heap());
+            aux.inbox.push(msg);
         }
-    }
-    if t.tracing {
-        stats.h_recv = t.recv.iter().copied().max().unwrap_or(0);
-        stats.active = t.active.iter().filter(|&&a| a).count();
     }
 }
 
@@ -429,15 +304,13 @@ impl ExchangeScratch {
     }
 
     /// Phase 1 (source-parallel): pattern rebuild + outbox scatter into
-    /// the lanes + source-side trace partials, merged in shard order.
+    /// the lanes; the per-shard counters merge in shard order.
     pub(crate) fn scatter(
         &mut self,
         p: usize,
         s: usize,
         procs: &mut [ProcAux],
         pattern: &mut CommPattern,
-        stat_active: &mut [bool],
-        tracing: bool,
     ) -> ScatterSummary {
         self.ensure(p, s);
         let geom = self.geom();
@@ -445,7 +318,6 @@ impl ExchangeScratch {
         {
             let mut procs_rest = procs;
             let mut sends_rest = pattern.sends.as_mut_slice();
-            let mut active_rest = stat_active;
             let mut slots_rest = self.slots.as_mut_slice();
             for (i, task) in tasks.iter_mut().enumerate().take(s) {
                 let len = geom.len_of(i);
@@ -453,18 +325,14 @@ impl ExchangeScratch {
                 procs_rest = pt;
                 let (sh, st) = std::mem::take(&mut sends_rest).split_at_mut(len);
                 sends_rest = st;
-                let (ah, at) = std::mem::take(&mut active_rest).split_at_mut(len);
-                active_rest = at;
                 let (slot, rest) = std::mem::take(&mut slots_rest)
                     .split_first_mut()
                     .expect("one slot per shard");
                 slots_rest = rest;
                 *task = Some(ScatterTask {
                     geom,
-                    tracing,
                     procs: ph,
                     sends: sh,
-                    active: ah,
                     slot,
                 });
             }
@@ -473,60 +341,39 @@ impl ExchangeScratch {
             run_scatter(t.as_mut().expect("scatter task built"));
         });
 
-        // Ordered reduce of the source-side partials (ascending shards).
         let mut sum = ScatterSummary::default();
         for slot in &self.slots {
-            let st = &slot.stats;
-            sum.total_records += st.records;
-            sum.max_compute = sum.max_compute.max(st.max_compute);
-            sum.messages += st.messages;
-            sum.bytes += st.bytes;
-            sum.h_send = sum.h_send.max(st.h_send);
-            sum.word_msgs += st.word_msgs;
-            sum.block_msgs += st.block_msgs;
-            sum.xnet_msgs += st.xnet_msgs;
+            sum.total_records += slot.stats.records;
+            sum.max_compute = sum.max_compute.max(slot.stats.max_compute);
         }
         sum
     }
 
     /// Phase 2 (destination-parallel): lane transpose, old-inbox drain
-    /// with recycle staging, delivery, destination-side trace partials.
-    pub(crate) fn gather(
-        &mut self,
-        procs: &mut [ProcAux],
-        stat_recv: &mut [usize],
-        stat_active: &mut [bool],
-        tracing: bool,
-    ) -> GatherSummary {
+    /// with recycle staging, delivery. Returns the number of heap
+    /// payloads staged for recycling; at zero the recycle phase is
+    /// skipped.
+    pub(crate) fn gather(&mut self, procs: &mut [ProcAux]) -> usize {
         let s = self.s;
         let geom = self.geom();
         transpose(&mut self.slots, msg_lanes);
         let mut tasks: [Option<GatherTask<'_>>; MAX_SHARDS] = std::array::from_fn(|_| None);
         {
             let mut procs_rest = procs;
-            let mut recv_rest = stat_recv;
-            let mut active_rest = stat_active;
             let mut slots_rest = self.slots.as_mut_slice();
             let mut base = 0usize;
             for (i, task) in tasks.iter_mut().enumerate().take(s) {
                 let len = geom.len_of(i);
                 let (ph, pt) = std::mem::take(&mut procs_rest).split_at_mut(len);
                 procs_rest = pt;
-                let (rh, rt) = std::mem::take(&mut recv_rest).split_at_mut(len);
-                recv_rest = rt;
-                let (ah, at) = std::mem::take(&mut active_rest).split_at_mut(len);
-                active_rest = at;
                 let (slot, rest) = std::mem::take(&mut slots_rest)
                     .split_first_mut()
                     .expect("one slot per shard");
                 slots_rest = rest;
                 *task = Some(GatherTask {
                     geom,
-                    tracing,
                     base,
                     procs: ph,
-                    recv: rh,
-                    active: ah,
                     slot,
                 });
                 base += len;
@@ -535,15 +382,7 @@ impl ExchangeScratch {
         rayon::scoped_join(&mut tasks[..s], |_, t| {
             run_gather(t.as_mut().expect("gather task built"));
         });
-
-        let mut sum = GatherSummary::default();
-        for slot in &self.slots {
-            let st = &slot.stats;
-            sum.h_recv = sum.h_recv.max(st.h_recv);
-            sum.active += st.active;
-            sum.heap_staged += st.heap_staged;
-        }
-        sum
+        self.slots.iter().map(|slot| slot.stats.heap_staged).sum()
     }
 
     /// Phase 3 (sender-parallel): return staged heap payloads to their
@@ -576,29 +415,6 @@ impl ExchangeScratch {
         rayon::scoped_join(&mut tasks[..s], |_, t| {
             run_recycle(t.as_mut().expect("recycle task built"));
         });
-    }
-
-    /// Ordered element-wise max-merge of the per-shard block/xnet round
-    /// maxima; returns `(block_steps, block_bytes_sum)` exactly as the
-    /// sequential per-kind round scan computes them.
-    pub(crate) fn merge_rounds(&self, scratch: &mut Vec<usize>) -> (usize, usize) {
-        let mut steps = 0usize;
-        let mut bytes_sum = 0usize;
-        for pick in [
-            (|st: &ShardStats| &st.round_max_block) as fn(&ShardStats) -> &Vec<usize>,
-            |st: &ShardStats| &st.round_max_xnet,
-        ] {
-            scratch.clear();
-            for slot in &self.slots {
-                let rounds = pick(&slot.stats);
-                for (round, &bytes) in rounds.iter().enumerate() {
-                    bump_round(scratch, round, bytes);
-                }
-            }
-            steps += scratch.len();
-            bytes_sum += scratch.iter().sum::<usize>();
-        }
-        (steps, bytes_sum)
     }
 }
 

@@ -49,4 +49,4 @@ pub use probe::{
     StepDetail, StepObs, SuperstepProbe,
 };
 pub use shadow::{ConsumeFilter, RegionId, SendMeta, ShadowEvent};
-pub use trace::{RunBreakdown, SuperstepTrace};
+pub use trace::{RunBreakdown, SuperstepTrace, TraceScratch};

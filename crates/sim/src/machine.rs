@@ -40,14 +40,13 @@ use rayon::prelude::*;
 use crate::compute::ComputeModel;
 use crate::ctx::{Ctx, ProcAux};
 use crate::exchange::{ExchangeScratch, MAX_SHARDS};
-use crate::message::MsgKind;
 use crate::network::NetworkModel;
 use crate::pattern::{CommPattern, SendRecord};
 use crate::probe::{
     self, ExchangePath, PhaseNanos, RunReport, StepDetail, StepObs, SuperstepProbe,
 };
 use crate::shadow::SendMeta;
-use crate::trace::{RunBreakdown, SuperstepTrace};
+use crate::trace::{RunBreakdown, SuperstepTrace, TraceScratch};
 
 /// A simulated distributed-memory parallel machine.
 pub struct Machine<S> {
@@ -70,12 +69,8 @@ pub struct Machine<S> {
     dry: bool,
     /// The superstep's communication pattern, rebuilt in place each step.
     pattern: CommPattern,
-    /// Tracing scratch: words received per processor.
-    stat_recv: Vec<usize>,
-    /// Tracing scratch: per-processor activity flags.
-    stat_active: Vec<bool>,
-    /// Tracing scratch: per-round max block bytes.
-    stat_round_max: Vec<usize>,
+    /// Reusable scratch for [`SuperstepTrace::measure`].
+    trace_scratch: TraceScratch,
     /// Exchange shard count. Above 1 (on a parallel machine) the machine
     /// runs the sharded parallel exchange engine; at 1 the fused sweep.
     shards: usize,
@@ -138,9 +133,7 @@ impl<S: Send> Machine<S> {
                 p,
                 sends: (0..p).map(|_| Vec::new()).collect(),
             },
-            stat_recv: vec![0; p],
-            stat_active: vec![false; p],
-            stat_round_max: Vec::new(),
+            trace_scratch: TraceScratch::default(),
             shards: hook
                 .shards
                 .map_or_else(|| default_shards(p), |s| s.clamp(1, p.min(MAX_SHARDS))),
@@ -382,33 +375,23 @@ impl<S: Send> Machine<S> {
 
     /// The sharded parallel exchange: scatter (pattern rebuild + lane
     /// fill), price, gather (delivery + recycle staging), sender-affine
-    /// recycle, ordered trace-partial merge. Bit-identical to
-    /// [`Self::exchange_fused`] — see `exchange.rs` for the argument.
+    /// recycle. Bit-identical to [`Self::exchange_fused`] — see
+    /// `exchange.rs` for the argument.
     fn exchange_sharded(&mut self, step: usize, compute_ns: u64) {
         let probing = self.timed();
         let t = probe::mark(probing);
-        let a = self.exchange.scatter(
-            self.p,
-            self.shards,
-            &mut self.procs,
-            &mut self.pattern,
-            &mut self.stat_active,
-            self.tracing,
-        );
+        let a = self
+            .exchange
+            .scatter(self.p, self.shards, &mut self.procs, &mut self.pattern);
         let scatter_ns = probe::since(t);
         let t = probe::mark(probing);
         let cost = self.price(a.max_compute, a.total_records);
         let price_ns = probe::since(t);
         let t = probe::mark(probing);
-        let b = self.exchange.gather(
-            &mut self.procs,
-            &mut self.stat_recv,
-            &mut self.stat_active,
-            self.tracing,
-        );
+        let heap_staged = self.exchange.gather(&mut self.procs);
         let gather_ns = probe::since(t);
         let t = probe::mark(probing);
-        if b.heap_staged > 0 {
+        if heap_staged > 0 {
             self.exchange.recycle(&mut self.procs);
         }
         let recycle_ns = probe::since(t);
@@ -426,23 +409,13 @@ impl<S: Send> Machine<S> {
             },
         );
         if self.tracing {
-            let (block_steps, block_bytes_sum) =
-                self.exchange.merge_rounds(&mut self.stat_round_max);
-            self.traces.push(SuperstepTrace {
-                index: step,
-                compute: cost.0,
-                comm: cost.1,
-                messages: a.messages,
-                bytes: a.bytes,
-                h_send: a.h_send,
-                h_recv: b.h_recv,
-                active: b.active,
-                block_steps,
-                block_bytes_sum,
-                word_msgs: a.word_msgs,
-                block_msgs: a.block_msgs,
-                xnet_msgs: a.xnet_msgs,
-            });
+            self.traces.push(SuperstepTrace::measure(
+                step,
+                cost.0,
+                cost.1,
+                &self.pattern,
+                &mut self.trace_scratch,
+            ));
         }
     }
 
@@ -518,94 +491,14 @@ impl<S: Send> Machine<S> {
             },
         );
         if self.tracing {
-            self.record_trace(step, cost.0, cost.1);
+            self.traces.push(SuperstepTrace::measure(
+                step,
+                cost.0,
+                cost.1,
+                &self.pattern,
+                &mut self.trace_scratch,
+            ));
         }
-    }
-
-    /// Collects the superstep trace: all pattern statistics in one pass
-    /// over the send records, using the machine's reusable scratch
-    /// buffers. Semantics are identical to the `CommPattern` query
-    /// methods.
-    fn record_trace(&mut self, step: usize, compute_time: SimTime, comm: SimTime) {
-        // All pattern statistics in one pass over the send records,
-        // using the machine's reusable scratch buffers. Semantics are
-        // identical to the CommPattern query methods.
-        let pattern = &self.pattern;
-        let recv = &mut self.stat_recv;
-        let active = &mut self.stat_active;
-        for v in recv.iter_mut() {
-            *v = 0;
-        }
-        for a in active.iter_mut() {
-            *a = false;
-        }
-        let mut messages = 0usize;
-        let mut bytes = 0usize;
-        let mut h_send = 0usize;
-        let (mut word_msgs, mut block_msgs, mut xnet_msgs) = (0usize, 0usize, 0usize);
-        for (src, recs) in pattern.sends.iter().enumerate() {
-            let mut sent_words = 0usize;
-            for r in recs {
-                bytes += r.bytes;
-                match r.kind {
-                    MsgKind::Words => {
-                        messages += r.words;
-                        word_msgs += r.words;
-                        sent_words += r.words;
-                        recv[r.dst] += r.words;
-                    }
-                    MsgKind::Block => {
-                        messages += 1;
-                        block_msgs += 1;
-                    }
-                    MsgKind::Xnet => {
-                        messages += 1;
-                        xnet_msgs += 1;
-                    }
-                }
-                if r.words > 0 {
-                    active[src] = true;
-                    active[r.dst] = true;
-                }
-            }
-            h_send = h_send.max(sent_words);
-        }
-        let h_recv = recv.iter().copied().max().unwrap_or(0);
-        let active = active.iter().filter(|&&a| a).count();
-        // Block/xnet rounds: round `r` holds the `r`-th record of that
-        // kind from each source; its cost driver is the largest block.
-        let mut block_steps = 0usize;
-        let mut block_bytes_sum = 0usize;
-        for kind in [MsgKind::Block, MsgKind::Xnet] {
-            let round_max = &mut self.stat_round_max;
-            round_max.clear();
-            for recs in &pattern.sends {
-                for (round, r) in recs.iter().filter(|r| r.kind == kind).enumerate() {
-                    if round == round_max.len() {
-                        round_max.push(r.bytes);
-                    } else {
-                        round_max[round] = round_max[round].max(r.bytes);
-                    }
-                }
-            }
-            block_steps += round_max.len();
-            block_bytes_sum += round_max.iter().sum::<usize>();
-        }
-        self.traces.push(SuperstepTrace {
-            index: step,
-            compute: compute_time,
-            comm,
-            messages,
-            bytes,
-            h_send,
-            h_recv,
-            active,
-            block_steps,
-            block_bytes_sum,
-            word_msgs,
-            block_msgs,
-            xnet_msgs,
-        });
     }
 
     /// A barrier-only superstep.

@@ -826,12 +826,13 @@ mod tests {
         /// reference: `Segment::max_in_degree` against a per-destination
         /// hash count, `BlockRound::max_recv_bytes` / `max_in_degree`
         /// against per-destination hash sums, on random mixed patterns.
+        /// `SuperstepTrace::measure` agrees with the query methods.
         #[test]
         fn degree_fast_paths_match_brute_force(
             recs in proptest::collection::vec(
-                // Each record is one integer: dst in 0..6, words in 1..12,
-                // words-or-block flag (the shim has no tuple strategies).
-                proptest::collection::vec(0usize..132, 0..5), 1..7)
+                // Each record is one integer: dst in 0..6, words in 0..12,
+                // kind words/block/xnet (the shim has no tuple strategies).
+                proptest::collection::vec(0usize..216, 0..5), 1..7)
         ) {
             let p = 6usize;
             let sends: Vec<Vec<SendRecord>> = recs
@@ -839,18 +840,46 @@ mod tests {
                 .map(|rs| {
                     rs.iter()
                         .map(|&v| {
-                            let (dst, w, is_block) = (v % 6, v / 6 % 11 + 1, v >= 66);
+                            let (dst, w) = (v % 6, v / 6 % 12);
                             SendRecord {
                                 dst,
                                 words: w,
                                 bytes: w * 4,
-                                kind: if is_block { MsgKind::Block } else { MsgKind::Words },
+                                kind: match v / 72 {
+                                    0 => MsgKind::Words,
+                                    1 => MsgKind::Block,
+                                    _ => MsgKind::Xnet,
+                                },
                             }
                         })
                         .collect()
                 })
                 .collect();
             let pattern = CommPattern { p, sends };
+
+            let trace = crate::trace::SuperstepTrace::measure(
+                0,
+                pcm_core::SimTime::ZERO,
+                pcm_core::SimTime::ZERO,
+                &pattern,
+                &mut crate::trace::TraceScratch::default(),
+            );
+            proptest::prop_assert_eq!(trace.messages, pattern.total_messages());
+            proptest::prop_assert_eq!(trace.bytes, pattern.total_bytes());
+            proptest::prop_assert_eq!(
+                (trace.word_msgs, trace.block_msgs, trace.xnet_msgs),
+                pattern.kind_counts()
+            );
+            proptest::prop_assert_eq!(trace.h_send, pattern.h_send());
+            proptest::prop_assert_eq!(trace.h_recv, pattern.h_recv());
+            proptest::prop_assert_eq!(trace.active, pattern.active_processors());
+            let rounds: Vec<BlockRound> =
+                pattern.block_rounds().into_iter().chain(pattern.xnet_rounds()).collect();
+            proptest::prop_assert_eq!(trace.block_steps, rounds.len());
+            proptest::prop_assert_eq!(
+                trace.block_bytes_sum,
+                rounds.iter().map(BlockRound::max_bytes).sum::<usize>()
+            );
 
             for seg in pattern.word_segments() {
                 let mut counts = std::collections::HashMap::new();

@@ -93,7 +93,7 @@ pub struct PhaseNanos {
     pub price: u64,
     /// Delivery (lane merge, or the fused delivery sweep).
     pub gather: u64,
-    /// Sender-affine heap-payload recycling (+ trace-partial merge).
+    /// Sender-affine heap-payload recycling.
     pub recycle: u64,
 }
 

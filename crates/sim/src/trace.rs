@@ -3,8 +3,15 @@
 //! The evaluation figures need more than a total running time — e.g.
 //! Fig. 16 reports Mflops, which requires knowing compute vs. communication
 //! split, and the E-BSP analysis inspects per-superstep pattern shapes.
+//!
+//! [`SuperstepTrace::measure`] is the one definition of the pattern
+//! statistics: both exchange engines and pcm-check's trace collector call
+//! it on the finished [`CommPattern`].
 
 use pcm_core::SimTime;
+
+use crate::message::MsgKind;
+use crate::pattern::CommPattern;
 
 /// Cost breakdown of one executed superstep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,6 +43,106 @@ pub struct SuperstepTrace {
     pub block_msgs: usize,
     /// Xnet (neighbour-grid) messages routed.
     pub xnet_msgs: usize,
+}
+
+/// Reusable scratch for [`SuperstepTrace::measure`]: words received and
+/// activity per processor, and the per-round maxima of one transfer kind.
+/// Grown on demand and reused, so measuring allocates nothing once warm.
+#[derive(Debug, Default)]
+pub struct TraceScratch {
+    recv: Vec<usize>,
+    active: Vec<bool>,
+    round_max: Vec<usize>,
+}
+
+impl SuperstepTrace {
+    /// Measures superstep `index` of `pattern` in one pass over the send
+    /// records (plus one pass per block or xnet kind present). Agrees with
+    /// the [`CommPattern`] query methods, which stay as its reference.
+    pub fn measure(
+        index: usize,
+        compute: SimTime,
+        comm: SimTime,
+        pattern: &CommPattern,
+        scratch: &mut TraceScratch,
+    ) -> Self {
+        let TraceScratch {
+            recv,
+            active,
+            round_max,
+        } = scratch;
+        recv.clear();
+        recv.resize(pattern.p, 0);
+        active.clear();
+        active.resize(pattern.p, false);
+        let mut messages = 0usize;
+        let mut bytes = 0usize;
+        let mut h_send = 0usize;
+        let (mut word_msgs, mut block_msgs, mut xnet_msgs) = (0usize, 0usize, 0usize);
+        for (src, recs) in pattern.sends.iter().enumerate() {
+            let mut sent_words = 0usize;
+            for r in recs {
+                bytes += r.bytes;
+                match r.kind {
+                    MsgKind::Words => {
+                        messages += r.words;
+                        word_msgs += r.words;
+                        sent_words += r.words;
+                        recv[r.dst] += r.words;
+                    }
+                    MsgKind::Block => {
+                        messages += 1;
+                        block_msgs += 1;
+                    }
+                    MsgKind::Xnet => {
+                        messages += 1;
+                        xnet_msgs += 1;
+                    }
+                }
+                if r.words > 0 {
+                    active[src] = true;
+                    active[r.dst] = true;
+                }
+            }
+            h_send = h_send.max(sent_words);
+        }
+        // Block/xnet rounds: round `r` holds the `r`-th record of that
+        // kind from each source; its cost driver is the largest transfer.
+        let mut block_steps = 0usize;
+        let mut block_bytes_sum = 0usize;
+        for (kind, count) in [(MsgKind::Block, block_msgs), (MsgKind::Xnet, xnet_msgs)] {
+            if count == 0 {
+                continue;
+            }
+            round_max.clear();
+            for recs in &pattern.sends {
+                for (round, r) in recs.iter().filter(|r| r.kind == kind).enumerate() {
+                    if round == round_max.len() {
+                        round_max.push(r.bytes);
+                    } else {
+                        round_max[round] = round_max[round].max(r.bytes);
+                    }
+                }
+            }
+            block_steps += round_max.len();
+            block_bytes_sum += round_max.iter().sum::<usize>();
+        }
+        SuperstepTrace {
+            index,
+            compute,
+            comm,
+            messages,
+            bytes,
+            h_send,
+            h_recv: recv.iter().copied().max().unwrap_or(0),
+            active: active.iter().filter(|&&a| a).count(),
+            block_steps,
+            block_bytes_sum,
+            word_msgs,
+            block_msgs,
+            xnet_msgs,
+        }
+    }
 }
 
 /// Aggregate of a full run.

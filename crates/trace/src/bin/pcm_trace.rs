@@ -195,6 +195,16 @@ fn replay(point: &Point, plat: &Platform) -> (RunRecord, Option<MachineRun>) {
     (record, run)
 }
 
+/// Prints a one-line error with the usage and exits with status 2 (bad
+/// command line).
+fn fail(msg: &str) -> ! {
+    eprintln!(
+        "pcm-trace: {msg} (usage: pcm-trace [--fast] [--wall] [--out FILE] \
+         [--export chrome] [--trace-out FILE])"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     let mut out_path = String::from("TRACE_report.json");
     let mut trace_out = String::from("TRACE_chrome.json");
@@ -203,23 +213,22 @@ fn main() {
     let mut wall = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| fail(&format!("{arg} needs a value")))
+        };
         match arg.as_str() {
-            "--out" => out_path = args.next().expect("--out needs a path"),
-            "--trace-out" => trace_out = args.next().expect("--trace-out needs a path"),
+            "--out" => out_path = value(),
+            "--trace-out" => trace_out = value(),
             "--export" => {
-                let what = args.next().expect("--export needs a format");
-                assert_eq!(what, "chrome", "supported export formats: chrome");
+                if value() != "chrome" {
+                    fail("supported export formats: chrome");
+                }
                 export_chrome = true;
             }
             "--fast" => fast = true,
             "--wall" => wall = true,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: pcm-trace [--fast] [--wall] [--out FILE] [--export chrome] [--trace-out FILE]"
-                );
-                std::process::exit(2);
-            }
+            other => fail(&format!("unknown argument: {other}")),
         }
     }
 

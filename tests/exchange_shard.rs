@@ -7,7 +7,8 @@
 //! * every algorithm family × machine × shard count ∈ {1, 2, 7, p}
 //!   produces the same simulated time and run digest as the forced
 //!   sequential reference, hands a detail-taking observer the same
-//!   per-step detail, and yields the same extracted plans;
+//!   per-step detail, measures the same per-step traces, and yields the
+//!   same extracted plans;
 //! * a heap-payload-heavy raw machine run matches sequentially bit-for-bit
 //!   across shard counts, and recycled (sender-affine) payload buffers
 //!   never leak stale bytes into later supersteps;
@@ -32,7 +33,7 @@ use pcm::algos::vendor;
 use pcm::algos::RunResult;
 use pcm::experiments::map_ordered;
 use pcm::Platform;
-use pcm_check::Digest;
+use pcm_check::{collect_traces, Digest};
 use pcm_sim::{
     extract_plans, with_exchange_shards, with_probe, with_sequential, IdealNetwork, Machine,
     RunReport, StepObs, SuperstepProbe, UniformCompute, MAX_SHARDS,
@@ -179,8 +180,8 @@ fn family_runs(plat: &Platform) -> Vec<(&'static str, KernelRun<'_>)> {
 
 /// Every algorithm family × machine × shard count produces the same
 /// simulated time and digest as the forced sequential reference, the same
-/// per-step detail for a detail-taking observer, and the same extracted
-/// plans. Shard count 1 keeps the fused sweep (control), 2 and 7 cut the
+/// per-step detail for a detail-taking observer, the same per-step
+/// superstep traces, and the same extracted plans. Shard count 1 keeps the fused sweep (control), 2 and 7 cut the
 /// 16-processor machines unevenly, and `p` puts every processor in its
 /// own shard.
 #[test]
@@ -197,6 +198,7 @@ fn sharded_exchange_is_bit_identical_across_families() {
             );
             let ref_digest = digest_run(&reference);
             let ref_detail = with_sequential(|| record_detail(&run));
+            let ref_traces = with_sequential(|| collect_traces(&run).1);
             let ref_plans = format!("{:?}", with_sequential(|| extract_plans(&run).1));
             for shards in [1usize, 2, 7, p] {
                 let sharded = with_exchange_shards(shards, &run);
@@ -219,6 +221,16 @@ fn sharded_exchange_is_bit_identical_across_families() {
                         got,
                         want,
                         "{label} on {} shards={shards}: step detail diverged",
+                        plat.name()
+                    );
+                }
+                let traces = with_exchange_shards(shards, || collect_traces(&run).1);
+                assert_eq!(traces.len(), ref_traces.len(), "{label}: traced steps");
+                for (got, want) in traces.iter().zip(&ref_traces) {
+                    assert_eq!(
+                        got,
+                        want,
+                        "{label} on {} shards={shards}: superstep trace diverged",
                         plat.name()
                     );
                 }
