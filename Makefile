@@ -1,9 +1,9 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test test-all sanitize race golden shard audit sym sym-drift trace trace-smoke trace-drift trace-gate analyze doc fmt clippy clippy-race bench bench-compile bench-smoke bench-scaling bench-pricing pricing-smoke pricing-gate
+.PHONY: ci build test test-all sanitize race golden shard audit sym sym-drift trace trace-smoke trace-drift trace-gate analyze doc fmt clippy clippy-race bench bench-smoke bench-pricing pricing-smoke pricing-gate
 
 # Same steps, same order as the workflow.
-ci: build test-all audit sym sym-drift trace-smoke trace-drift bench-compile bench-smoke pricing-smoke bench-scaling doc fmt clippy clippy-race
+ci: build test-all audit sym sym-drift trace-smoke trace-drift bench-smoke pricing-smoke doc fmt clippy clippy-race
 
 build:
 	cargo build --release
@@ -69,22 +69,16 @@ analyze: sanitize race audit sym trace-gate
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Criterion suites plus the recorded throughput report (BENCH_simulator.json).
+# The recorded microbenchmark report (BENCH_simulator.json), thread
+# ladder included.
 bench:
-	cargo bench
 	cargo run --release -p pcm-bench --bin bench-report
 
-bench-compile:
-	cargo bench --no-run
-
-# Fast sanity pass over every bench kernel; writes no report.
+# Fast sanity pass over every bench kernel plus the thread-scaling ladder
+# (re-executes the bench binary with RAYON_NUM_THREADS pinned to each
+# rung); writes no report.
 bench-smoke:
 	cargo run --release -p pcm-bench --bin bench-report -- --smoke
-
-# Smoke-mode thread-scaling ladder: re-executes the bench binary with
-# RAYON_NUM_THREADS pinned to each rung; writes no report.
-bench-scaling:
-	cargo run --release -p pcm-bench --bin bench-report -- --smoke --scaling
 
 # The pricing fast-path rows alone (route warm/cold per machine, router
 # fast/slow path), full-length samples; writes no report.

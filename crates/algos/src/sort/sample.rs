@@ -678,6 +678,21 @@ mod tests {
             fine.stats.max_bucket,
             coarse.stats.max_bucket
         );
+
+        // The full GCel across the oversampling sweep: every run sorts,
+        // and the largest bucket never grows as S does.
+        let gcel = Platform::gcel();
+        let mut prev = usize::MAX;
+        for s in [4, 16, 64, 256] {
+            let r = run(&gcel, 512, s, SampleVariant::BpramStaggered, 31);
+            assert!(r.verified, "S = {s}");
+            assert!(
+                r.stats.max_bucket <= prev,
+                "S = {s}: max bucket {} > {prev}",
+                r.stats.max_bucket
+            );
+            prev = r.stats.max_bucket;
+        }
     }
 
     #[test]

@@ -1,34 +1,37 @@
-//! `bench-report`: pinned-size simulator-throughput benchmarks with a
-//! machine-readable JSON report (`pcm-bench-report/v2`).
+//! `bench-report`: the workspace's microbenchmark harness — pinned-size
+//! simulator-throughput benchmarks with a machine-readable JSON report
+//! (`pcm-bench-report/v2`).
 //!
-//! Unlike the criterion benches (which explore), this binary *records*: it
-//! runs a fixed suite — superstep dispatch, word exchange, per-machine
-//! route pricing, the delta router, an exchange-phase microbench family,
-//! and two figure kernels — at pinned sizes and writes
-//! `BENCH_simulator.json` with median ns/iter, message throughput, the
-//! commit hash and the run configuration. Passing `--baseline <old.json>`
-//! (v1 or v2) embeds the old numbers and the per-bench speedup, so the
-//! perf trajectory of the superstep hot path is tracked in-repo instead
-//! of in commit messages.
+//! It runs a fixed suite — superstep dispatch, a compute-heavy superstep,
+//! word exchange, per-machine route pricing, the delta router, an
+//! exchange-phase microbench family, and two figure kernels — at pinned
+//! sizes and writes `BENCH_simulator.json` with median ns/iter, message
+//! throughput, the commit hash and the run configuration. Passing
+//! `--baseline <old.json>` (v1 or v2) embeds the old numbers and the
+//! per-bench speedup, so the perf trajectory of the superstep hot path is
+//! tracked in-repo instead of in commit messages. Whole figures are timed
+//! end to end by `perfbench`, not here.
 //!
 //! The v2 schema additionally records *scaling curves*: because the rayon
 //! shim latches its pool width once per process, the binary re-executes
 //! itself (`--child <bench>`) with `RAYON_NUM_THREADS` pinned to each
 //! rung of a {1, 2, 4, host} ladder and collects the children's medians.
+//! The 1-thread rung is the sequential baseline: at pool width 1 the
+//! machine runs its compute loop inline and takes the fused exchange.
 //! Every row reports the pool width the process *actually* used
 //! (`rayon::current_num_threads()`), with the host's core count kept
 //! separately as `host_parallelism` — a single-thread run no longer
 //! claims the host count.
 //!
 //! Usage:
-//!   bench-report [--smoke] [--scaling] [--out FILE] [--baseline FILE]
+//!   bench-report [--smoke] [--out FILE] [--baseline FILE]
 //!   bench-report --child BENCH [--smoke]   (internal: one bench, stdout)
 //!
-//! `--smoke` runs a tiny pinned subset (CI keeps it under a few seconds);
-//! it writes no file unless `--out` is given explicitly, and skips the
-//! scaling ladder unless `--scaling` is also given. Full runs always
-//! record the ladder.
+//! `--smoke` runs a tiny pinned subset and a short ladder (CI keeps it
+//! under a few seconds); it writes no file unless `--out` is given
+//! explicitly.
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -140,6 +143,33 @@ fn noop_superstep(cfg: &Config, p: usize) -> BenchResult {
     let (ns, samples) = measure(cfg, || m.superstep(|ctx| ctx.charge(1.0)));
     BenchResult {
         name: format!("noop_superstep/{p}"),
+        ns_per_iter: ns,
+        samples,
+        msgs_per_iter: 0,
+        ..Default::default()
+    }
+}
+
+/// A compute-heavy superstep: every processor sweeps a 64×64 `f64` state
+/// with a `sqrt` loop and exchanges nothing, so the per-processor compute
+/// closure dominates and the pool's fan-out has work to amortize.
+fn busy_superstep(cfg: &Config, p: usize) -> BenchResult {
+    let mut m = Machine::new(
+        Box::new(IdealNetwork),
+        Arc::new(UniformCompute::test_model()),
+        vec![vec![0.0f64; 64 * 64]; p],
+        1,
+    );
+    m.set_tracing(false);
+    let (ns, samples) = measure(cfg, || {
+        m.superstep(|ctx| {
+            let v = &mut ctx.state;
+            v[0] = (0..v.len()).map(|i| (i as f64).sqrt()).sum();
+            ctx.charge(1.0);
+        });
+    });
+    BenchResult {
+        name: format!("busy_superstep/{p}"),
         ns_per_iter: ns,
         samples,
         msgs_per_iter: 0,
@@ -435,6 +465,8 @@ fn run_suite(cfg: &Config) -> Vec<BenchResult> {
         eprintln!("  noop_superstep/{p} ...");
         results.push(noop_superstep(cfg, p));
     }
+    eprintln!("  busy_superstep/64 ...");
+    results.push(busy_superstep(cfg, 64));
     for &p in sizes {
         eprintln!("  word_exchange/{p} ...");
         results.push(word_exchange(cfg, p));
@@ -475,6 +507,7 @@ fn run_named(cfg: &Config, name: &str) -> Option<BenchResult> {
     let (prefix, tail) = name.rsplit_once('/')?;
     match prefix {
         "noop_superstep" => Some(noop_superstep(cfg, tail.parse().ok()?)),
+        "busy_superstep" => Some(busy_superstep(cfg, tail.parse().ok()?)),
         "word_exchange" => Some(word_exchange(cfg, tail.parse().ok()?)),
         "delta_router_permutation" => Some(delta_router(cfg, tail.parse().ok()?)),
         "exchange/word_permutation" => Some(exchange_word_permutation(cfg, tail.parse().ok()?)),
@@ -524,17 +557,20 @@ fn host_parallelism() -> usize {
 }
 
 /// The benches whose scaling the v2 report records: the exchange-bound
-/// rows (the slowest-improving ones in the v1 history) plus the
-/// dispatch-bound noop row as a control.
+/// rows (the slowest-improving ones in the v1 history), the
+/// dispatch-bound noop row as a control, and the compute-bound busy row,
+/// where the parallel compute loop has work to win on.
 fn scaling_bench_names(cfg: &Config) -> Vec<String> {
     if cfg.smoke {
         vec![
+            String::from("busy_superstep/64"),
             String::from("word_exchange/64"),
             String::from("exchange/word_permutation/64"),
         ]
     } else {
         [
             "noop_superstep/1024",
+            "busy_superstep/64",
             "word_exchange/64",
             "word_exchange/256",
             "word_exchange/1024",
@@ -715,7 +751,7 @@ fn git_commit() -> String {
 fn render_report(
     cfg: &Config,
     results: &[BenchResult],
-    scaling: Option<&(Vec<usize>, Vec<ScalingCurve>)>,
+    (ladder, curves): &(Vec<usize>, Vec<ScalingCurve>),
     baseline: Option<&Baseline>,
 ) -> String {
     let mut s = String::new();
@@ -758,40 +794,37 @@ fn render_report(
             ));
         }
     }
-    s.push_str("  }");
-    if let Some((ladder, curves)) = scaling {
-        s.push_str(",\n  \"scaling\": {\n");
+    s.push_str("  },\n  \"scaling\": {\n");
+    s.push_str(&format!(
+        "    \"threads\": [{}],\n",
+        ladder
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ")
+    ));
+    s.push_str("    \"curves\": {\n");
+    for (i, c) in curves.iter().enumerate() {
+        let comma = if i + 1 == curves.len() { "" } else { "," };
+        let ns = c
+            .ns_by_thread
+            .iter()
+            .map(|v| format!("{v:.1}"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        let used = c
+            .threads_used
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join(", ");
         s.push_str(&format!(
-            "    \"threads\": [{}],\n",
-            ladder
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        s.push_str("    \"curves\": {\n");
-        for (i, c) in curves.iter().enumerate() {
-            let comma = if i + 1 == curves.len() { "" } else { "," };
-            let ns = c
-                .ns_by_thread
-                .iter()
-                .map(|v| format!("{v:.1}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let used = c
-                .threads_used
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            s.push_str(&format!(
                 "      \"{}\": {{ \"ns_by_thread\": [{ns}], \"threads_used\": [{used}], \"speedup_max_vs_1\": {:.2} }}{comma}\n",
                 json_escape(&c.name),
                 c.speedup_max_vs_1()
             ));
-        }
-        s.push_str("    }\n  }");
     }
+    s.push_str("    }\n  }");
     if let Some(base) = baseline {
         s.push_str(",\n  \"baseline\": {\n");
         s.push_str(&format!(
@@ -845,16 +878,12 @@ fn speedups(results: &[BenchResult], base: &Baseline) -> Vec<(String, f64)> {
 /// Prints a one-line error with the usage and exits with status 2 (bad
 /// command line).
 fn fail(msg: &str) -> ! {
-    eprintln!(
-        "bench-report: {msg} (usage: bench-report [--smoke] [--scaling] [--out FILE] \
-         [--baseline FILE])"
-    );
+    eprintln!("bench-report: {msg} (usage: bench-report [--smoke] [--out FILE] [--baseline FILE])");
     std::process::exit(2);
 }
 
 fn main() {
     let mut smoke = false;
-    let mut scaling_requested = false;
     let mut child_bench: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
@@ -866,18 +895,25 @@ fn main() {
         };
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--scaling" => scaling_requested = true,
             "--child" => child_bench = Some(value()),
             "--out" => out_path = Some(value()),
             "--baseline" => baseline_path = Some(value()),
             other => fail(&format!("unknown argument: {other}")),
         }
     }
-    // Read the baseline before the suite runs, so a bad path fails fast.
+    // Read the baseline and check the output directory before the suite
+    // runs, so a bad path fails fast.
     let baseline = baseline_path.map(|p| match std::fs::read_to_string(&p) {
         Ok(text) => parse_baseline(&text),
         Err(e) => fail(&format!("cannot read baseline {p}: {e}")),
     });
+    if let Some(dir) = out_path
+        .as_deref()
+        .and_then(|p| Path::new(p).parent())
+        .filter(|d| !d.as_os_str().is_empty() && !d.is_dir())
+    {
+        fail(&format!("no such output directory: {}", dir.display()));
+    }
 
     let cfg = Config::new(smoke);
 
@@ -902,12 +938,8 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     let results = run_suite(&cfg);
-    // Full runs always record the thread-scaling ladder; smoke runs only
-    // on request (the CI scaling step passes --scaling explicitly).
-    let scaling = (!smoke || scaling_requested).then(|| {
-        eprintln!("bench-report: recording scaling curves ...");
-        run_scaling(&cfg)
-    });
+    eprintln!("bench-report: recording scaling curves ...");
+    let scaling = run_scaling(&cfg);
 
     println!("{:<44} {:>14} {:>16}", "bench", "ns/iter", "msgs/sec");
     for r in &results {
@@ -918,21 +950,20 @@ fn main() {
         };
         println!("{:<44} {:>14.1} {:>16}", r.name, r.ns_per_iter, msgs);
     }
-    if let Some((ladder, curves)) = &scaling {
-        println!("\nscaling (ns/iter by pool width {ladder:?}):");
-        for c in curves {
-            let ns = c
-                .ns_by_thread
-                .iter()
-                .map(|v| format!("{v:.0}"))
-                .collect::<Vec<_>>()
-                .join("  ");
-            println!(
-                "{:<44} {ns}  ({:.2}x at max width)",
-                c.name,
-                c.speedup_max_vs_1()
-            );
-        }
+    let (ladder, curves) = &scaling;
+    println!("\nscaling (ns/iter by pool width {ladder:?}):");
+    for c in curves {
+        let ns = c
+            .ns_by_thread
+            .iter()
+            .map(|v| format!("{v:.0}"))
+            .collect::<Vec<_>>()
+            .join("  ");
+        println!(
+            "{:<44} {ns}  ({:.2}x at max width)",
+            c.name,
+            c.speedup_max_vs_1()
+        );
     }
     if let Some(base) = &baseline {
         println!("\nspeedup vs baseline ({}):", base.commit);
@@ -954,7 +985,7 @@ fn main() {
         }
     }
 
-    let report = render_report(&cfg, &results, scaling.as_ref(), baseline.as_ref());
+    let report = render_report(&cfg, &results, &scaling, baseline.as_ref());
     let default_out = if smoke {
         None
     } else {
@@ -964,7 +995,7 @@ fn main() {
         // Atomic (temp + fsync + rename): the committed report must never
         // be observable half-written, even if the run is interrupted.
         pcm_core::fsio::write_atomic(&path, report)
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
         eprintln!("bench-report: wrote {path}");
     }
 }
@@ -981,8 +1012,9 @@ mod tests {
         for name in [
             "figure_kernel/bitonic_maspar_words/16",
             "figure_kernel/matmul_cm5_naive/32",
+            "busy_superstep/64",
         ] {
-            let r = run_named(&cfg, name).expect("figure kernel resolves");
+            let r = run_named(&cfg, name).expect("bench resolves");
             assert_eq!(r.name, name);
             assert!(r.ns_per_iter > 0.0);
         }

@@ -28,3 +28,8 @@ fn baseline_without_a_value_exits_2() {
 fn unreadable_baseline_exits_2_before_the_suite() {
     assert_usage_error(&["--smoke", "--baseline", "no/such/baseline.json"]);
 }
+
+#[test]
+fn out_into_a_missing_directory_exits_2_before_the_suite() {
+    assert_usage_error(&["--smoke", "--out", "no/such/dir/report.json"]);
+}

@@ -11,6 +11,7 @@
 //! findings report. Exit status is 1 when any finding fired, so CI can
 //! gate on it.
 
+use pcm_core::fsio::write_atomic;
 use pcm_sym::{render, render_json, sweep, SweepOptions};
 
 fn main() {
@@ -55,7 +56,7 @@ fn main() {
 
     if let Some(path) = out {
         let json = render_json(&outcome, fast);
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = write_atomic(&path, json) {
             eprintln!("pcm-sym: cannot write {path}: {e}");
             std::process::exit(2);
         }
