@@ -1,9 +1,9 @@
 # Developer entry points; `make ci` mirrors .github/workflows/ci.yml.
 
-.PHONY: ci build test test-all sanitize race golden shard audit sym sym-drift trace trace-smoke trace-drift trace-gate analyze doc fmt clippy clippy-race bench bench-smoke bench-pricing pricing-smoke pricing-gate
+.PHONY: ci build test test-all examples sanitize race golden shard audit sym sym-drift trace trace-smoke trace-drift trace-gate analyze doc fmt clippy clippy-race bench bench-smoke bench-pricing pricing-smoke pricing-gate
 
 # Same steps, same order as the workflow.
-ci: build test-all audit sym sym-drift trace-smoke trace-drift bench-smoke pricing-smoke doc fmt clippy clippy-race
+ci: build test-all examples audit sym sym-drift trace-smoke trace-drift bench-smoke pricing-smoke doc fmt clippy clippy-race
 
 build:
 	cargo build --release
@@ -14,6 +14,13 @@ test:
 # Every crate's unit tests and proptests, not only the root package.
 test-all:
 	cargo test --workspace -q
+
+# `cargo test` only compiles the examples; run the ones that print
+# predictions.
+examples:
+	cargo run --release --example quickstart
+	cargo run --release --example model_shootout
+	cargo run --release --example custom_machine
 
 sanitize:
 	cargo test -q --test sanitizer

@@ -4,7 +4,7 @@
 use pcm_algos::apsp::{self, ApspVariant};
 use pcm_core::{DataPoint, Figure, Series};
 use pcm_machines::Platform;
-use pcm_models::predict;
+use pcm_models::predict::apsp::{BSP, EBSP, GCEL_REFINED, MP_BSP};
 
 use crate::report::{Output, Scale};
 
@@ -39,12 +39,12 @@ pub fn fig12(scale: Scale, seed: u64) -> Output {
     let mp_bsp = Series::from_points(
         "Predicted (MP-BSP)",
         ns.iter()
-            .map(|&n| (n as f64, predict::apsp::mp_bsp(&params, n).as_secs())),
+            .map(|&n| (n as f64, MP_BSP.eval(&params, n).as_secs())),
     );
     let ebsp = Series::from_points(
         "Predicted (E-BSP)",
         ns.iter()
-            .map(|&n| (n as f64, predict::apsp::ebsp(&params, n).as_secs())),
+            .map(|&n| (n as f64, EBSP.eval(&params, n).as_secs())),
     );
     Output::Fig(
         Figure::new(
@@ -72,12 +72,12 @@ pub fn fig13(scale: Scale, seed: u64) -> Output {
     let bsp = Series::from_points(
         "Predicted (BSP)",
         ns.iter()
-            .map(|&n| (n as f64, predict::apsp::bsp(&params, n).as_secs())),
+            .map(|&n| (n as f64, BSP.eval(&params, n).as_secs())),
     );
     let refined = Series::from_points(
         "Predicted (g_mscat refined)",
         ns.iter()
-            .map(|&n| (n as f64, predict::apsp::gcel_refined(&params, n).as_secs())),
+            .map(|&n| (n as f64, GCEL_REFINED.eval(&params, n).as_secs())),
     );
     Output::Fig(
         Figure::new(
@@ -105,7 +105,7 @@ pub fn fig15(scale: Scale, seed: u64) -> Output {
     let bsp = Series::from_points(
         "Predicted (BSP)",
         ns.iter()
-            .map(|&n| (n as f64, predict::apsp::bsp(&params, n).as_secs())),
+            .map(|&n| (n as f64, BSP.eval(&params, n).as_secs())),
     );
     Output::Fig(
         Figure::new(

@@ -5,7 +5,7 @@ use pcm_algos::matmul::{self, MatmulVariant};
 use pcm_algos::vendor;
 use pcm_core::{Figure, Series};
 use pcm_machines::Platform;
-use pcm_models::predict;
+use pcm_models::predict::matmul::{q_for, BPRAM, BSP, MP_BSP};
 use pcm_sim::ComputeModel as _;
 
 use crate::report::{Output, Scale};
@@ -40,7 +40,7 @@ pub fn fig03(scale: Scale, seed: u64) -> Output {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_secs()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::mp_bsp(&plat.model_params(), n).as_secs(),
+            MP_BSP.eval(&plat.model_params(), n).as_secs(),
         ));
     }
     Output::Fig(
@@ -71,7 +71,7 @@ pub fn fig04(scale: Scale, seed: u64) -> Output {
         staggered.push(pcm_core::DataPoint::new(n as f64, rs.time.as_millis()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bsp(&plat.model_params(), n).as_millis(),
+            BSP.eval(&plat.model_params(), n).as_millis(),
         ));
     }
     Output::Fig(
@@ -99,7 +99,7 @@ pub fn fig08(scale: Scale, seed: u64) -> Output {
         measured.push(pcm_core::DataPoint::new(n as f64, r.time.as_secs()));
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bpram(&plat.model_params(), n).as_secs(),
+            BPRAM.eval(&plat.model_params(), n).as_secs(),
         ));
     }
     Output::Fig(
@@ -129,17 +129,17 @@ pub fn fig09(scale: Scale, seed: u64) -> Output {
         let params = plat.model_params();
         predicted.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bpram(&params, n).as_millis(),
+            BPRAM.eval(&params, n).as_millis(),
         ));
         // Replace alpha with the kernel model's effective rate at the
         // local block shape — "provided that the local computations are
         // precisely modeled".
-        let q = predict::matmul::q_for(plat.p());
+        let q = q_for(plat.p());
         let mut precise = params.clone();
         precise.alpha_mm = pcm_machines::Cm5Compute::new().matmul_op_time(n / q, n / q, n / q);
         cache_aware.push(pcm_core::DataPoint::new(
             n as f64,
-            predict::matmul::bpram(&precise, n).as_millis(),
+            BPRAM.eval(&precise, n).as_millis(),
         ));
     }
     Output::Fig(

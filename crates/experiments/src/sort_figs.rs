@@ -65,7 +65,7 @@ pub fn fig05(scale: Scale, seed: u64) -> Output {
     let params = plat.model_params();
     let measured = per_key_series("Measured", &plat, &ms, ExchangeMode::Words, seed);
     let predicted = predicted_series("Predicted (MP-BSP)", &ms, |m| {
-        predict::bitonic::mp_bsp(&params, m)
+        predict::bitonic::MP_BSP.eval(&params, m)
     });
     Output::Fig(
         Figure::new(
@@ -100,7 +100,7 @@ pub fn fig06(scale: Scale, seed: u64) -> Output {
         seed,
     );
     let predicted = predicted_series("Predicted (BSP)", &ms, |m| {
-        predict::bitonic::bsp(&params, m)
+        predict::bitonic::BSP.eval(&params, m)
     });
     Output::Fig(
         Figure::new(
@@ -123,7 +123,7 @@ pub fn fig10(scale: Scale, seed: u64) -> Output {
     let params = plat.model_params();
     let measured = per_key_series("Measured", &plat, &ms, ExchangeMode::Block, seed);
     let predicted = predicted_series("Predicted (MP-BPRAM)", &ms, |m| {
-        predict::bitonic::bpram(&params, m)
+        predict::bitonic::BPRAM.eval(&params, m)
     });
     Output::Fig(
         Figure::new(
@@ -145,7 +145,7 @@ pub fn fig11(scale: Scale, seed: u64) -> Output {
     let params = plat.model_params();
     let measured = per_key_series("Measured", &plat, &ms, ExchangeMode::Block, seed);
     let predicted = predicted_series("Predicted (MP-BPRAM)", &ms, |m| {
-        predict::bitonic::bpram(&params, m)
+        predict::bitonic::BPRAM.eval(&params, m)
     });
     Output::Fig(
         Figure::new(

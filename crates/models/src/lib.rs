@@ -13,7 +13,8 @@
 //! * [`logp`] — LogP/LogGP as an extension for the model shoot-out.
 //!
 //! [`params`] holds the Table 1 machine parameters and [`predict`] the
-//! closed-form per-algorithm running times of Section 4.
+//! closed-form per-algorithm running times of Section 4, each one a
+//! [`ClosedForm`] defined by its symbolic expression ([`symbolic`]).
 
 pub mod account;
 pub mod bpram;
@@ -34,4 +35,4 @@ pub use ebsp::Ebsp;
 pub use logp::{LogGP, LogP};
 pub use mp_bsp::MpBsp;
 pub use params::{cm5, gcel, maspar, unit_env, EbspParams, MachineParams};
-pub use symbolic::{bindings, ClosedForm, DomainSpec, DomainViolation, Predictor};
+pub use symbolic::{bindings, ClosedForm, DomainSpec, DomainViolation};

@@ -6,10 +6,12 @@
 //! full pairwise exchange of `M` keys:
 //! `sum_{d=1}^{log P} d = log P (log P + 1)/2` steps in total.
 
+use super::{n_sym, num, SORT_DOMAIN};
 use crate::params::MachineParams;
+use crate::symbolic::ClosedForm;
+use pcm_core::symexpr::Expr;
 use pcm_core::units::exact_f64;
 use pcm_core::units::log2_exact;
-use pcm_core::SimTime;
 
 /// Number of merge steps: `log P · (log P + 1) / 2`.
 pub fn merge_steps(p: usize) -> usize {
@@ -24,43 +26,93 @@ pub const RADIX_BITS: usize = 8;
 
 /// BSP prediction:
 /// `T = T_local_sort + S·(alpha·M + g·M + L)` with `S = merge_steps(P)`.
-pub fn bsp(m: &MachineParams, keys_per_proc: usize) -> SimTime {
-    let s = exact_f64(merge_steps(m.p));
-    let mm = exact_f64(keys_per_proc);
-    let t = m.local_sort(keys_per_proc, KEY_BITS, RADIX_BITS) + s * (m.alpha * mm + m.g * mm + m.l);
-    SimTime::from_micros(t)
-}
+pub const BSP: ClosedForm =
+    ClosedForm::new("bitonic", "bsp", SORT_DOMAIN, |m, _| bsp_with(m, n_sym()));
 
 /// MP-BSP prediction: each exchanged key is its own communication step:
 /// `T = T_local_sort + S·(alpha·M + (g+L)·M)`.
-pub fn mp_bsp(m: &MachineParams, keys_per_proc: usize) -> SimTime {
-    let s = exact_f64(merge_steps(m.p));
-    let mm = exact_f64(keys_per_proc);
-    let t =
-        m.local_sort(keys_per_proc, KEY_BITS, RADIX_BITS) + s * (m.alpha * mm + (m.g + m.l) * mm);
-    SimTime::from_micros(t)
-}
+pub const MP_BSP: ClosedForm = ClosedForm::new("bitonic", "mp_bsp", SORT_DOMAIN, |m, _| {
+    mp_bsp_with(m, n_sym())
+});
 
 /// MP-BPRAM prediction: each merge step exchanges one block of `M` words:
 /// `T = T_local_sort + S·(alpha·M + sigma·w·M + ell)`.
-pub fn bpram(m: &MachineParams, keys_per_proc: usize) -> SimTime {
-    let s = exact_f64(merge_steps(m.p));
-    let mm = exact_f64(keys_per_proc);
-    let t = m.local_sort(keys_per_proc, KEY_BITS, RADIX_BITS)
-        + s * (m.alpha * mm + m.sigma * exact_f64(m.w) * mm + m.ell);
-    SimTime::from_micros(t)
+pub const BPRAM: ClosedForm = ClosedForm::new("bitonic", "bpram", SORT_DOMAIN, |m, _| {
+    bpram_with(m, n_sym())
+});
+
+/// The local radix sort of `count` keys with the workspace-wide 32-bit
+/// keys and 8-bit radix: `T_local_sort = (b/r)·(beta·2^r + gamma·count)`.
+pub(crate) fn local_sort_expr(count: Expr) -> Expr {
+    let passes = exact_f64(KEY_BITS) / exact_f64(RADIX_BITS);
+    let radix = exact_f64(1usize << RADIX_BITS);
+    Expr::mul(vec![
+        num(passes),
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("radix_beta"), Expr::ops(num(radix))]),
+            Expr::mul(vec![Expr::sym("radix_gamma"), Expr::ops(count)]),
+        ]),
+    ])
 }
 
-/// "Time per key" as the figures plot it: total time divided by the number
-/// of keys per processor.
-pub fn per_key(total: SimTime, keys_per_proc: usize) -> f64 {
-    total.as_micros() / exact_f64(keys_per_proc)
+/// The BSP formula with `count` keys per processor.
+pub(super) fn bsp_with(m: &MachineParams, count: Expr) -> Expr {
+    let s = exact_f64(merge_steps(m.p));
+    Expr::add(vec![
+        local_sort_expr(count.clone()),
+        Expr::mul(vec![
+            num(s),
+            Expr::add(vec![
+                Expr::mul(vec![Expr::sym("alpha"), Expr::ops(count.clone())]),
+                Expr::mul(vec![Expr::sym("g"), Expr::words(count)]),
+                Expr::sym("L"),
+            ]),
+        ]),
+    ])
+}
+
+fn mp_bsp_with(m: &MachineParams, count: Expr) -> Expr {
+    let s = exact_f64(merge_steps(m.p));
+    Expr::add(vec![
+        local_sort_expr(count.clone()),
+        Expr::mul(vec![
+            num(s),
+            Expr::add(vec![
+                Expr::mul(vec![Expr::sym("alpha"), Expr::ops(count.clone())]),
+                Expr::mul(vec![
+                    Expr::add(vec![Expr::sym("g"), Expr::per_word(Expr::sym("L"))]),
+                    Expr::words(count),
+                ]),
+            ]),
+        ]),
+    ])
+}
+
+/// The MP-BPRAM formula with `count` keys per processor.
+pub(super) fn bpram_with(m: &MachineParams, count: Expr) -> Expr {
+    let s = exact_f64(merge_steps(m.p));
+    Expr::add(vec![
+        local_sort_expr(count.clone()),
+        Expr::mul(vec![
+            num(s),
+            Expr::add(vec![
+                Expr::mul(vec![Expr::sym("alpha"), Expr::ops(count.clone())]),
+                Expr::mul(vec![Expr::sym("sigma"), Expr::sym("w"), Expr::words(count)]),
+                Expr::sym("ell"),
+            ]),
+        ]),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::{cm5, gcel, maspar};
+
+    /// "Time per key" as the figures plot it, in ms.
+    fn ms_per_key(form: &ClosedForm, m: &MachineParams, keys: usize) -> f64 {
+        form.eval(m, keys).as_millis() / exact_f64(keys)
+    }
 
     #[test]
     fn merge_step_counts() {
@@ -74,8 +126,7 @@ mod tests {
         // "With 4K keys per processor, the measured time per key of the
         // synchronized BSP version is 86.1 milliseconds" — the prediction
         // is close to that: 21·(alpha + g) ≈ 94 ms/key.
-        let t = bsp(&gcel(), 4096);
-        let pk_ms = per_key(t, 4096) / 1e3;
+        let pk_ms = ms_per_key(&BSP, &gcel(), 4096);
         assert!(pk_ms > 80.0 && pk_ms < 105.0, "per-key = {pk_ms} ms");
     }
 
@@ -83,10 +134,9 @@ mod tests {
     fn gcel_bpram_per_key_anchor() {
         // "whereas the MP-BPRAM variation requires only 1.36 milliseconds
         // per key" — almost two orders of magnitude difference.
-        let t = bpram(&gcel(), 4096);
-        let pk_ms = per_key(t, 4096) / 1e3;
+        let pk_ms = ms_per_key(&BPRAM, &gcel(), 4096);
         assert!(pk_ms > 0.8 && pk_ms < 1.8, "per-key = {pk_ms} ms");
-        let ratio = per_key(bsp(&gcel(), 4096), 4096) / (pk_ms * 1e3);
+        let ratio = ms_per_key(&BSP, &gcel(), 4096) / pk_ms;
         assert!(ratio > 40.0, "BSP/BPRAM ratio = {ratio}");
     }
 
@@ -96,7 +146,7 @@ mod tests {
         // bounded by (g+L)/(w·sigma) = 3.3.
         let m = maspar();
         let big = 4096;
-        let ratio = mp_bsp(&m, big) / bpram(&m, big);
+        let ratio = MP_BSP.eval(&m, big) / BPRAM.eval(&m, big);
         assert!(ratio > 1.5 && ratio < 3.3, "ratio = {ratio}");
     }
 
@@ -105,13 +155,7 @@ mod tests {
         // On the CM-5 the ratio g/(w·sigma) is only 4.2, and local work
         // matters, so the gap stays small.
         let m = cm5();
-        let ratio = bsp(&m, 4096) / bpram(&m, 4096);
+        let ratio = BSP.eval(&m, 4096) / BPRAM.eval(&m, 4096);
         assert!(ratio > 1.0 && ratio < 4.2, "ratio = {ratio}");
-    }
-
-    #[test]
-    fn per_key_divides_by_keys() {
-        let t = SimTime::from_micros(1000.0);
-        assert!((per_key(t, 10) - 100.0).abs() < 1e-12);
     }
 }

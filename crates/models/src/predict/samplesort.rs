@@ -10,92 +10,139 @@
 //! 3. **sort buckets** — each bucket (at most `M_max` keys) is sorted
 //!    locally.
 //!
+//! The formulas fix `S` = [`OVERSAMPLING`] and `M_max = 2·M` (a factor-2
+//! oversampling-quality bound).
+//!
 //! The MP-BPRAM variant replaces the irregular word traffic with block
 //! transfers: the splitter broadcast becomes a `P x P` transpose
 //! (`2·sqrt(P)` block steps), the multi-scan `4·sqrt(P)` block steps, and
 //! the send substep uses the JáJá–Ryu routing scheme costing
 //! `4·sqrt(P)·(4·sigma·w·N/P^1.5 + ell)`.
 
-use super::bitonic;
+use super::bitonic::{bpram_with, bsp_with, local_sort_expr};
+use super::{block, n_sym, num, superstep};
 use crate::params::MachineParams;
+use crate::symbolic::{ClosedForm, DomainSpec};
+use pcm_core::symexpr::Expr;
 use pcm_core::units::exact_f64;
-use pcm_core::SimTime;
 
-/// Cost of the BSP splitter phase with oversampling ratio `s`:
-/// `T_bsp_bitonic(P·S) + g·(P-1) + L` (the bitonic sort runs with `S` keys
-/// per processor).
-pub fn splitter_bsp(m: &MachineParams, s: usize) -> SimTime {
-    let bitonic = bitonic::bsp(m, s);
-    bitonic + SimTime::from_micros(m.g * (exact_f64(m.p) - 1.0) + m.l)
+/// Oversampling ratio `S` (keys per processor in the splitter bitonic
+/// sort).
+pub const OVERSAMPLING: usize = 64;
+
+const DOMAIN: DomainSpec = DomainSpec {
+    min_n: 1,
+    n_divisor: |_| 1,
+    min_p: 4,
+    power_of_two_p: true,
+    // The JáJá–Ryu block routing tiles the processors sqrt(P)-wise.
+    perfect_square_p: true,
+};
+
+/// BSP prediction: splitter `T_bsp_bitonic(P·S) + g·(P-1) + L`, send
+/// `T_local_sort(M) + alpha·(M+P) + 2·(g·P + L) + g·M_max + L`, and the
+/// bucket sort `T_local_sort(M_max)`.
+pub const BSP: ClosedForm = ClosedForm::new("samplesort", "bsp", DOMAIN, bsp_expr);
+
+/// MP-BPRAM prediction: the splitter bitonic sort plus a block transpose,
+/// the local phase, the block multi-scan, the JáJá–Ryu send and the
+/// bucket sort.
+pub const BPRAM: ClosedForm = ClosedForm::new("samplesort", "bpram", DOMAIN, bpram_expr);
+
+/// `M_max = 2·M`.
+fn m_max_expr() -> Expr {
+    Expr::mul(vec![num(2.0), n_sym()])
 }
 
-/// Cost of the BSP multi-scan used to compute receive addresses:
-/// `2·(g·P + L)`.
-pub fn scan_bsp(m: &MachineParams) -> SimTime {
-    SimTime::from_micros(2.0 * (m.g * exact_f64(m.p) + m.l))
+fn bsp_expr(m: &MachineParams, _n_hint: usize) -> Expr {
+    let p = exact_f64(m.p);
+    let splitter = Expr::add(vec![
+        bsp_with(m, num(exact_f64(OVERSAMPLING))),
+        superstep(Expr::sym("g"), num(p - 1.0)),
+    ]);
+    let scan = Expr::mul(vec![num(2.0), superstep(Expr::sym("g"), num(p))]);
+    let send = Expr::add(vec![
+        Expr::add(vec![
+            local_sort_expr(n_sym()),
+            Expr::mul(vec![
+                Expr::sym("alpha"),
+                Expr::ops(Expr::add(vec![n_sym(), num(p)])),
+            ]),
+        ]),
+        scan,
+        superstep(Expr::sym("g"), m_max_expr()),
+    ]);
+    Expr::add(vec![splitter, send, local_sort_expr(m_max_expr())])
 }
 
-/// Cost of the BSP send phase given the observed maximum bucket size:
-/// `T_local_sort(M) + alpha·(M+P) + T_scan + g·M_max + L`.
-pub fn send_bsp(m: &MachineParams, keys_per_proc: usize, m_max: usize) -> SimTime {
-    let local = m.local_sort(keys_per_proc, bitonic::KEY_BITS, bitonic::RADIX_BITS);
-    let bucketing = m.alpha * exact_f64(keys_per_proc + m.p);
-    SimTime::from_micros(local + bucketing)
-        + scan_bsp(m)
-        + SimTime::from_micros(m.g * exact_f64(m_max) + m.l)
-}
-
-/// Cost of the final local bucket sort: `T_local_sort(M_max)`.
-pub fn sort_buckets(m: &MachineParams, m_max: usize) -> SimTime {
-    SimTime::from_micros(m.local_sort(m_max, bitonic::KEY_BITS, bitonic::RADIX_BITS))
-}
-
-/// Total BSP sample-sort prediction.
-pub fn bsp_total(m: &MachineParams, keys_per_proc: usize, s: usize, m_max: usize) -> SimTime {
-    splitter_bsp(m, s) + send_bsp(m, keys_per_proc, m_max) + sort_buckets(m, m_max)
-}
-
-/// Block-transfer cost of the splitter broadcast (a `P x P` transpose):
+/// Splitter broadcast as a `P x P` transpose:
 /// `2·sqrt(P)·(sigma·w·sqrt(P) + ell)`.
-pub fn splitter_broadcast_bpram(m: &MachineParams) -> SimTime {
-    let sq = (exact_f64(m.p)).sqrt();
-    SimTime::from_micros(2.0 * sq * (m.sigma * exact_f64(m.w) * sq + m.ell))
+fn splitter_broadcast_bpram(m: &MachineParams) -> Expr {
+    let sq = exact_f64(m.p).sqrt();
+    Expr::mul(vec![num(2.0), num(sq), block(num(sq))])
 }
 
-/// Block-transfer cost of the multi-scan:
-/// `4·sqrt(P)·(sigma·w·sqrt(P) + ell)`.
-pub fn scan_bpram(m: &MachineParams) -> SimTime {
-    let sq = (exact_f64(m.p)).sqrt();
-    SimTime::from_micros(4.0 * sq * (m.sigma * exact_f64(m.w) * sq + m.ell))
+/// Block multi-scan: `4·sqrt(P)·(sigma·w·sqrt(P) + ell)`.
+fn scan_bpram(m: &MachineParams) -> Expr {
+    let sq = exact_f64(m.p).sqrt();
+    Expr::mul(vec![num(4.0), num(sq), block(num(sq))])
 }
 
-/// Block-transfer cost of routing the keys to their buckets
-/// (JáJá–Ryu): `4·sqrt(P)·(4·sigma·w·N/P^1.5 + ell)`.
-pub fn send_to_buckets_bpram(m: &MachineParams, total_keys: usize) -> SimTime {
+/// Routing the `N = M·P` keys to their buckets (JáJá–Ryu):
+/// `4·sqrt(P)·(4·sigma·w·N/P^1.5 + ell)`.
+fn send_to_buckets_bpram(m: &MachineParams) -> Expr {
     let p = exact_f64(m.p);
     let sq = p.sqrt();
-    SimTime::from_micros(
-        4.0 * sq * (4.0 * m.sigma * exact_f64(m.w) * exact_f64(total_keys) / (p * sq) + m.ell),
-    )
+    Expr::mul(vec![
+        num(4.0),
+        num(sq),
+        Expr::add(vec![
+            Expr::div(
+                Expr::mul(vec![
+                    num(4.0),
+                    Expr::sym("sigma"),
+                    Expr::sym("w"),
+                    Expr::words(Expr::mul(vec![n_sym(), num(p)])),
+                ]),
+                num(p * sq),
+            ),
+            Expr::sym("ell"),
+        ]),
+    ])
 }
 
-/// Total MP-BPRAM sample-sort prediction.
-pub fn bpram_total(m: &MachineParams, keys_per_proc: usize, s: usize, m_max: usize) -> SimTime {
-    let splitters = bitonic::bpram(m, s) + splitter_broadcast_bpram(m);
-    let local = m.local_sort(keys_per_proc, bitonic::KEY_BITS, bitonic::RADIX_BITS)
-        + m.alpha * exact_f64(keys_per_proc + m.p);
-    let total_keys = keys_per_proc * m.p;
-    splitters
-        + SimTime::from_micros(local)
-        + scan_bpram(m)
-        + send_to_buckets_bpram(m, total_keys)
-        + sort_buckets(m, m_max)
+fn bpram_expr(m: &MachineParams, _n_hint: usize) -> Expr {
+    let p = exact_f64(m.p);
+    let splitters = Expr::add(vec![
+        bpram_with(m, num(exact_f64(OVERSAMPLING))),
+        splitter_broadcast_bpram(m),
+    ]);
+    let local = Expr::add(vec![
+        local_sort_expr(n_sym()),
+        Expr::mul(vec![
+            Expr::sym("alpha"),
+            Expr::ops(Expr::add(vec![n_sym(), num(p)])),
+        ]),
+    ]);
+    Expr::add(vec![
+        splitters,
+        local,
+        scan_bpram(m),
+        send_to_buckets_bpram(m),
+        local_sort_expr(m_max_expr()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::params::gcel;
+    use crate::symbolic::bindings;
+
+    fn us(e: &Expr, m: &MachineParams, n: usize) -> f64 {
+        e.eval(&bindings(m, n))
+            .expect("bindings cover the expression")
+    }
 
     #[test]
     fn send_substep_dominates_on_gcel() {
@@ -103,8 +150,9 @@ mod tests {
         // 16·sigma·w·N/P µs" — 4·sqrt(P)·4·sigma·w·N/P^1.5 = 16·sigma·w·N/P
         // for any P.
         let m = gcel();
-        let n = 64 * 4096;
-        let t = send_to_buckets_bpram(&m, n).as_micros();
+        let keys_per_proc = 4096;
+        let n = 64 * keys_per_proc;
+        let t = us(&send_to_buckets_bpram(&m), &m, keys_per_proc);
         let dominant = 16.0 * m.sigma * exact_f64(m.w) * exact_f64(n) / exact_f64(m.p);
         let startup = 4.0 * 8.0 * m.ell;
         assert!((t - (dominant + startup)).abs() < 1e-6);
@@ -118,12 +166,8 @@ mod tests {
     #[test]
     fn totals_are_monotone_in_keys() {
         let m = gcel();
-        let a = bpram_total(&m, 1024, 64, 1400);
-        let b = bpram_total(&m, 4096, 64, 5600);
-        assert!(b > a);
-        let c = bsp_total(&m, 1024, 64, 1400);
-        let d = bsp_total(&m, 4096, 64, 5600);
-        assert!(d > c);
+        assert!(BPRAM.eval(&m, 4096) > BPRAM.eval(&m, 1024));
+        assert!(BSP.eval(&m, 4096) > BSP.eval(&m, 1024));
     }
 
     #[test]
@@ -131,7 +175,7 @@ mod tests {
         let m = gcel();
         let sq = 8.0;
         let expect = 2.0 * sq * (m.sigma * 4.0 * sq + m.ell);
-        assert!((splitter_broadcast_bpram(&m).as_micros() - expect).abs() < 1e-9);
-        assert!((scan_bpram(&m).as_micros() - 2.0 * expect).abs() < 1e-9);
+        assert!((us(&splitter_broadcast_bpram(&m), &m, 1) - expect).abs() < 1e-9);
+        assert!((us(&scan_bpram(&m), &m, 1) - 2.0 * expect).abs() < 1e-9);
     }
 }

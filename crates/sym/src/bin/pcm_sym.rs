@@ -6,7 +6,7 @@
 //! pcm-sym [--fast] [--out PATH]
 //! ```
 //!
-//! `--fast` runs fewer differential rounds and skips the priced-simulator
+//! `--fast` checks every fourth S04 golden row and skips the priced-simulator
 //! crossover replays (the smoke configuration); `--out` writes the JSON
 //! findings report. Exit status is 1 when any finding fired, so CI can
 //! gate on it.

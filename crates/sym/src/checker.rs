@@ -10,10 +10,9 @@ use pcm_core::symexpr::Poly;
 use pcm_core::units::exact_f64;
 use pcm_experiments::domains::GridSpec;
 use pcm_models::params::{cm5, gcel, maspar, unit_env};
-use pcm_models::{contract, ClosedForm, EbspParams, MachineParams, Predictor};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use pcm_models::{contract, ClosedForm, MachineParams};
 
+use crate::golden::GoldenRow;
 use crate::lemmas::{Crossover, Lemma};
 use crate::rules::{Finding, SymRule};
 
@@ -208,15 +207,15 @@ pub fn check_lemma(lemma: &Lemma, preds: &[ClosedForm]) -> Vec<Finding> {
         }
     }
 
-    // Numeric spot checks on the hand-coded formulas (which re-derive any
-    // piecewise branch per point, so they also guard the frozen branch).
+    // Numeric spot checks on the evaluated closed forms (which re-derive
+    // any piecewise branch per point, so they also guard the frozen branch).
     for k in [1usize, 2, 4, 8] {
         let n = lemma.from_n * k;
         if lesser.domain().check(n, m.p).is_err() || greater.domain().check(n, m.p).is_err() {
             continue;
         }
-        let t_lesser = lesser.closed_form(&m, n).as_micros();
-        let t_greater = greater.closed_form(&m, n).as_micros();
+        let t_lesser = lesser.eval(&m, n).as_micros();
+        let t_greater = greater.eval(&m, n).as_micros();
         if t_greater < t_lesser * (1.0 - 1e-12) {
             findings.push(lemma_finding(
                 lemma,
@@ -232,7 +231,7 @@ pub fn check_lemma(lemma: &Lemma, preds: &[ClosedForm]) -> Vec<Finding> {
     findings
 }
 
-// ---- S04: symbolic-vs-numeric differential --------------------------------
+// ---- S04: closed forms vs the golden table --------------------------------
 
 /// Distance in representable doubles between two same-sign finite values.
 #[allow(clippy::float_cmp)] // exact equality is the 0-ulp fast path
@@ -246,97 +245,65 @@ pub fn ulp_diff(a: f64, b: f64) -> u64 {
     }
 }
 
-/// Scales every µs-valued machine parameter by an independent random
-/// factor in `[0.5, 2.0)`, keeping the structural fields (`p`, `w`,
-/// pipelining) fixed.
-fn perturb(m: &MachineParams, rng: &mut StdRng) -> MachineParams {
-    let mut f = || rng.random_range(0.5f64..2.0);
-    let mut out = m.clone();
-    out.g *= f();
-    out.l *= f();
-    out.sigma *= f();
-    out.ell *= f();
-    out.alpha *= f();
-    out.alpha_mm *= f();
-    out.copy *= f();
-    out.radix_beta *= f();
-    out.radix_gamma *= f();
-    out.ebsp = match m.ebsp {
-        EbspParams::PartialPermutation { a, b, c } => EbspParams::PartialPermutation {
-            a: a * f(),
-            b: b * f(),
-            c: c * f(),
-        },
-        EbspParams::MultinodeScatter { g_mscat } => EbspParams::MultinodeScatter {
-            g_mscat: g_mscat * f(),
-        },
-        EbspParams::Uniform => EbspParams::Uniform,
-    };
-    out
-}
-
-/// A random in-domain size: the domain divisor times a random power of
-/// two, so every family (including APSP's power-of-two block counts)
-/// lands on sizes its Rust formula accepts.
-fn random_in_domain_n(pred: &ClosedForm, p: usize, rng: &mut StdRng) -> usize {
-    let d = (pred.domain().n_divisor)(p).max(1);
-    let mut n = d << rng.random_range(0u32..5);
-    while n < pred.domain().min_n {
-        n *= 2;
+fn golden_finding(row: &GoldenRow, detail: String) -> Finding {
+    Finding {
+        rule: SymRule::Differential,
+        family: row.family.to_string(),
+        model: row.model.to_string(),
+        machine: row.params.name.to_string(),
+        n: row.n,
+        p: row.params.p,
+        detail,
     }
-    n
 }
 
-/// Differentially tests every predictor: the symbolic expression, built
-/// fresh at each evaluation point, must agree with the hand-coded Rust
-/// formula to ≤ 1 ulp across `rounds` random parameter perturbations per
-/// machine. Returns the findings and the largest ulp distance seen.
-pub fn check_differential(
-    preds: &[ClosedForm],
-    machines: &[MachineParams],
-    rounds: usize,
-    seed: u64,
-) -> (Vec<Finding>, u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
+/// Differentially tests every closed form against golden-table rows: the
+/// symbolic expression, built at each row's `n` and evaluated under the
+/// row's parameters, must agree with the frozen value to ≤ 1 ulp. A closed
+/// form no row checks, or a row naming no registered closed form, is a
+/// finding too. Returns the findings and the largest ulp distance seen.
+pub fn check_differential(preds: &[ClosedForm], rows: &[GoldenRow]) -> (Vec<Finding>, u64) {
     let mut findings = Vec::new();
     let mut max_ulp = 0u64;
-    for m in machines {
-        for pred in preds {
-            for _ in 0..rounds {
-                let pm = perturb(m, &mut rng);
-                let n = random_in_domain_n(pred, m.p, &mut rng);
-                let binds = pcm_models::bindings(&pm, n);
-                let rust = pred.closed_form(&pm, n).as_micros();
-                match pred.symbolic(&pm, n).eval(&binds) {
-                    Err(e) => findings.push(finding(
-                        SymRule::Differential,
-                        pred,
-                        m.name,
-                        n,
-                        m.p,
-                        format!("symbolic evaluation failed: {e}"),
-                    )),
-                    Ok(sym) => {
-                        let ulp = ulp_diff(sym, rust);
-                        max_ulp = max_ulp.max(ulp);
-                        if ulp > 1 {
-                            findings.push(finding(
-                                SymRule::Differential,
-                                pred,
-                                m.name,
-                                n,
-                                m.p,
-                                format!(
-                                    "symbolic {sym:e} vs rust {rust:e}: {ulp} ulp apart \
-                                     (transcription divergence)"
-                                ),
-                            ));
-                        }
-                    }
+    for row in rows {
+        let Some(pred) = find_pred(preds, row.family, row.model) else {
+            findings.push(golden_finding(
+                row,
+                "golden row names no registered closed form".to_string(),
+            ));
+            continue;
+        };
+        let binds = pcm_models::bindings(&row.params, row.n);
+        match pred.symbolic(&row.params, row.n).eval(&binds) {
+            Err(e) => findings.push(golden_finding(
+                row,
+                format!("symbolic evaluation failed: {e}"),
+            )),
+            Ok(sym) => {
+                let golden = row.expected_us;
+                let ulp = ulp_diff(sym, golden);
+                max_ulp = max_ulp.max(ulp);
+                if ulp > 1 {
+                    findings.push(golden_finding(
+                        row,
+                        format!(
+                            "symbolic {sym:e} vs golden {golden:e}: {ulp} ulp apart \
+                             (the formula drifted from its frozen value)"
+                        ),
+                    ));
                 }
             }
         }
     }
+    let unchecked = preds.iter().filter(|pred| {
+        !rows
+            .iter()
+            .any(|r| r.family == pred.family() && r.model == pred.model())
+    });
+    findings.extend(unchecked.map(|pred| {
+        let detail = "no golden row checks this closed form".to_string();
+        finding(SymRule::Differential, pred, "", 0, 0, detail)
+    }));
     (findings, max_ulp)
 }
 
@@ -588,8 +555,8 @@ pub fn check_crossover(
         (x.word_n, word, x.word_model, block, x.block_model),
         (x.block_n, block, x.block_model, word, x.word_model),
     ] {
-        let t_cheap = cheap.closed_form(&m, n).as_micros();
-        let t_dear = dear.closed_form(&m, n).as_micros();
+        let t_cheap = cheap.eval(&m, n).as_micros();
+        let t_dear = dear.eval(&m, n).as_micros();
         if t_cheap >= t_dear {
             findings.push(crossover_finding(
                 x,
@@ -675,7 +642,7 @@ mod tests {
 
     #[test]
     fn differential_agrees_to_one_ulp() {
-        let (f, max_ulp) = check_differential(&registry(), &table1(), 3, 42);
+        let (f, max_ulp) = check_differential(&registry(), &crate::golden::rows());
         assert!(f.is_empty(), "{}", crate::rules::render(&f));
         assert!(max_ulp <= 1, "max ulp distance {max_ulp}");
     }

@@ -1,9 +1,8 @@
 //! # pcm-sym — symbolic cost-IR verifier for the analytic models
 //!
-//! Every closed-form predictor in `pcm-models` re-expresses its formula as
-//! a typed symbolic expression ([`Expr`], via `Predictor::symbolic`); this
-//! crate certifies those expressions instead of trusting the hand-coded
-//! Rust arithmetic. Six rules:
+//! Every closed form in `pcm-models` is defined by a typed symbolic
+//! expression ([`Expr`], via `ClosedForm::symbolic`) and evaluated through
+//! it; this crate certifies those expressions. Six rules:
 //!
 //! * **S01 units** — each formula must reduce to µs under the machine-
 //!   readable unit declarations of `pcm_models::params::unit_env`;
@@ -14,9 +13,10 @@
 //! * **S03 dominance** — declared cross-model lemmas ("plain BSP never
 //!   loses to MP-BSP on the MasPar") are certified from the polynomial
 //!   difference of the two formulas, then spot-checked numerically.
-//! * **S04 differential** — the symbolic expression and the Rust formula
-//!   must agree to ≤ 1 ulp across randomized perturbations of the Table 1
-//!   parameters; any divergence is a transcription bug in one of them.
+//! * **S04 differential** — each expression must agree to ≤ 1 ulp with
+//!   the committed [`golden`] table, values frozen from the hand-coded
+//!   arithmetic the expressions replaced, at 384 random perturbations of
+//!   the Table 1 parameters; any divergence is a formula change.
 //! * **S05 leading terms** — the communication part's leading power of `n`
 //!   must match the growth of the family's `CostContract` volume bound,
 //!   and the contract's bounds must pass shape certification.
@@ -32,6 +32,7 @@
 //! [`DomainSpec`]: pcm_models::DomainSpec
 
 pub mod checker;
+pub mod golden;
 pub mod lemmas;
 pub mod report;
 pub mod rules;
@@ -41,6 +42,7 @@ pub use checker::{
     check_contract_shape, check_crossover, check_differential, check_domains, check_leading,
     check_lemma, check_units, machine_by_name, ulp_diff,
 };
+pub use golden::GoldenRow;
 pub use lemmas::{crossovers, lemmas, Crossover, Lemma, ReplayFn};
 pub use pcm_core::dim::Dim;
 pub use pcm_core::symexpr::{Bindings, Expr, Poly, SymError, UnitEnv};

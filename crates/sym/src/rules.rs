@@ -4,9 +4,8 @@
 //! rule id, continuing the analyzer numbering convention (`R`/`C`/`D`
 //! sanitizer, `W` races, `A` schedule audit). `S` rules fire on the *typed
 //! closed forms* the predictors declare — no simulation is needed to break
-//! one; a finding means a formula, a declared precondition, or the
-//! transcription between the Rust arithmetic and its symbolic twin is
-//! wrong.
+//! one; a finding means a formula, a declared precondition, or a value
+//! pinned by the golden table is wrong.
 
 /// Stable identifier of one symbolic verification rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -20,8 +19,8 @@ pub enum SymRule {
     /// A declared cross-model dominance lemma has no symbolic certificate,
     /// or a numeric spot check contradicts it.
     Dominance,
-    /// The symbolic expression and the hand-coded Rust formula disagree by
-    /// more than 1 ulp on a randomized parameter grid.
+    /// A closed form disagrees by more than 1 ulp with its frozen value in
+    /// the golden table.
     Differential,
     /// The communication part's leading term disagrees with the growth of
     /// the family's `CostContract` volume bound, or the contract's bounds

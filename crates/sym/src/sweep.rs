@@ -14,19 +14,19 @@ use crate::checker::{
     check_contract_shape, check_crossover, check_differential, check_domains, check_leading,
     check_lemma, check_units,
 };
+use crate::golden;
 use crate::lemmas::{crossovers, lemmas};
 use crate::rules::Finding;
 
-/// Deterministic seed for the differential parameter grids and the
-/// crossover replays — the same convention every analyzer in the
-/// workspace uses.
+/// Deterministic seed for the crossover replays — the same convention
+/// every analyzer in the workspace uses.
 pub const SEED: u64 = 2026;
 
 /// Sweep configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SweepOptions {
-    /// Smoke configuration: fewer differential rounds, no priced-simulator
-    /// crossover replays.
+    /// Smoke configuration: every fourth S04 golden row (two per machine ×
+    /// closed form), no priced-simulator crossover replays.
     pub fast: bool,
 }
 
@@ -41,9 +41,9 @@ pub struct SweepStats {
     pub grid_points: usize,
     /// S03 dominance lemmas certified.
     pub lemmas_certified: usize,
-    /// S04 randomized differential evaluation points.
+    /// S04 golden-table rows evaluated.
     pub differential_points: usize,
-    /// Largest symbolic-vs-Rust ulp distance observed across S04.
+    /// Largest closed-form-vs-golden ulp distance observed across S04.
     pub max_ulp: u64,
     /// S05 leading-term certificates (predictors × machines).
     pub leading_terms: usize,
@@ -67,14 +67,18 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
     let machines: Vec<MachineParams> =
         vec![pcm_models::maspar(), pcm_models::gcel(), pcm_models::cm5()];
     let grids = pcm_experiments::domains::grids();
-    let rounds = if opts.fast { 2 } else { 8 };
+    let s04_rows: Vec<_> = golden::rows()
+        .into_iter()
+        .filter(|r| r.perturbed)
+        .step_by(if opts.fast { 4 } else { 1 })
+        .collect();
 
     let mut findings = Vec::new();
     let mut stats = SweepStats {
         predictors: preds.len(),
         unit_checks: preds.len() * machines.len(),
         grid_points: grids.iter().map(|g| g.ns.len()).sum(),
-        differential_points: preds.len() * machines.len() * rounds,
+        differential_points: s04_rows.len(),
         leading_terms: preds.len() * machines.len(),
         ..SweepStats::default()
     };
@@ -85,7 +89,7 @@ pub fn sweep(opts: SweepOptions) -> SweepOutcome {
         findings.extend(fnds);
         stats.lemmas_certified += 1;
     }
-    let (diff_findings, max_ulp) = check_differential(&preds, &machines, rounds, SEED);
+    let (diff_findings, max_ulp) = check_differential(&preds, &s04_rows);
     findings.extend(diff_findings);
     stats.max_ulp = max_ulp;
     findings.extend(check_leading(&preds, &machines));
@@ -117,6 +121,7 @@ mod tests {
         assert_eq!(outcome.stats.lemmas_certified, 8);
         assert_eq!(outcome.stats.crossovers, 3);
         assert!(outcome.stats.grid_points > 50);
+        assert_eq!(outcome.stats.differential_points, 96);
         assert!(outcome.stats.max_ulp <= 1);
     }
 }

@@ -25,13 +25,13 @@ fn main() {
         assert!(r.verified, "distances checked against sequential Floyd");
         let (base, refined) = if params.memory_pipelining {
             (
-                predict::apsp::bsp(&params, n),
-                predict::apsp::gcel_refined(&params, n),
+                predict::apsp::BSP.eval(&params, n),
+                predict::apsp::GCEL_REFINED.eval(&params, n),
             )
         } else {
             (
-                predict::apsp::mp_bsp(&params, n),
-                predict::apsp::ebsp(&params, n),
+                predict::apsp::MP_BSP.eval(&params, n),
+                predict::apsp::EBSP.eval(&params, n),
             )
         };
         println!(
@@ -80,8 +80,8 @@ fn main() {
             "{:>5} {:>11.2}s {:>13.2}s {:>11.2}s",
             n,
             r.time.as_secs(),
-            predict::apsp::mp_bsp(&params, n).as_secs(),
-            predict::apsp::ebsp(&params, n).as_secs()
+            predict::apsp::MP_BSP.eval(&params, n).as_secs(),
+            predict::apsp::EBSP.eval(&params, n).as_secs()
         );
     }
 }

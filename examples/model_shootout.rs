@@ -32,12 +32,12 @@ fn main() {
         println!(
             "CM-5   short messages: measured {}, BSP {}",
             words.time,
-            err(predict::matmul::bsp(&params, n), words.time)
+            err(predict::matmul::BSP.eval(&params, n), words.time)
         );
         println!(
             "CM-5   block transfer: measured {}, MP-BPRAM {}",
             blocks.time,
-            err(predict::matmul::bpram(&params, n), blocks.time)
+            err(predict::matmul::BPRAM.eval(&params, n), blocks.time)
         );
     }
     {
@@ -50,12 +50,12 @@ fn main() {
         println!(
             "MasPar short messages: measured {}, MP-BSP {}",
             words.time,
-            err(predict::matmul::mp_bsp(&params, n), words.time)
+            err(predict::matmul::MP_BSP.eval(&params, n), words.time)
         );
         println!(
             "MasPar block transfer: measured {}, MP-BPRAM {}",
             blocks.time,
-            err(predict::matmul::bpram(&params, n), blocks.time)
+            err(predict::matmul::BPRAM.eval(&params, n), blocks.time)
         );
     }
 
@@ -75,9 +75,9 @@ fn main() {
         );
         assert!(r.verified);
         let pred = if params.memory_pipelining {
-            predict::bitonic::bsp(&params, m)
+            predict::bitonic::BSP.eval(&params, m)
         } else {
-            predict::bitonic::mp_bsp(&params, m)
+            predict::bitonic::MP_BSP.eval(&params, m)
         };
         println!(
             "{:7} measured {}, (MP-)BSP {}",

@@ -140,10 +140,10 @@ fn accountant_matches_the_closed_form_for_block_bitonic() {
     let facts = step_facts(machine.traces());
     let acc = account_run(&params, &facts);
     let accounted = acc.bpram + acc.compute;
-    let closed_form = pcm::models::predict::bitonic::bpram(&params, m);
-    let err = accounted.relative_error(closed_form);
+    let predicted = pcm::models::predict::bitonic::BPRAM.eval(&params, m);
+    let err = accounted.relative_error(predicted);
     assert!(
         err < 0.1,
-        "accounted {accounted} vs closed form {closed_form}"
+        "accounted {accounted} vs closed form {predicted}"
     );
 }

@@ -2,16 +2,15 @@
 //! (units, domains, dominance, differential agreement, leading terms,
 //! crossovers), and the fixtures prove each rule actually bites — a
 //! words/µs confusion is flagged S01, an off-grid sweep point S02, an
-//! inverted lemma S03, a formula/transcription divergence S04, a wrong
+//! inverted lemma S03, a formula drifting from its golden value S04, a wrong
 //! leading power S05 and a mis-ordered crossover S06.
 
-use pcm::core::units::exact_f64;
-use pcm::core::SimTime;
-use pcm::models::{ClosedForm, DomainSpec, MachineParams};
+use pcm::models::predict::matmul;
+use pcm::models::{ClosedForm, DomainSpec};
 use pcm_experiments::domains::GridSpec;
 use pcm_sym::{
     check_crossover, check_differential, check_domains, check_lemma, check_units, render, sweep,
-    Crossover, Expr, Finding, Lemma, SweepOptions, SymRule,
+    Crossover, Expr, Finding, GoldenRow, Lemma, SweepOptions, SymRule,
 };
 
 /// The full sweep — every predictor, machine, grid point, lemma,
@@ -28,6 +27,7 @@ fn full_sweep_is_clean() {
     assert_eq!(outcome.stats.lemmas_certified, 8);
     assert_eq!(outcome.stats.crossovers, 3);
     assert!(outcome.stats.grid_points >= 50, "sweep shrank unexpectedly");
+    assert_eq!(outcome.stats.differential_points, 384);
     assert!(outcome.stats.max_ulp <= 1, "symbolic transcription drifted");
 }
 
@@ -58,18 +58,12 @@ fn assert_only_rule(findings: &[Finding], rule: SymRule) {
 /// evaluated to a plausible number.
 #[test]
 fn s01_units_flags_words_bytes_confusion() {
-    let broken = ClosedForm::new(
-        "matmul",
-        "bsp",
-        unconstrained(),
-        |_, _| {
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("sigma"), Expr::words(Expr::sym("n"))]),
-                Expr::sym("L"),
-            ])
-        },
-        |m, n| SimTime::from_micros(m.sigma * exact_f64(n) + m.l),
-    );
+    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("sigma"), Expr::words(Expr::sym("n"))]),
+            Expr::sym("L"),
+        ])
+    });
     let findings = check_units(&[broken], &[pcm::models::maspar()]);
     assert_only_rule(&findings, SymRule::Units);
     assert!(findings[0].detail.contains("dimension"));
@@ -110,45 +104,63 @@ fn s03_dominance_flags_inverted_lemma() {
     assert_only_rule(&findings, SymRule::Dominance);
 }
 
-/// S04: a symbolic form with an extra `+L` the Rust formula does not have
-/// diverges by far more than 1 ulp on every random parameter draw.
+/// The matmul/bsp golden rows on the MasPar.
+fn matmul_bsp_golden_rows() -> Vec<GoldenRow> {
+    pcm_sym::golden::rows()
+        .into_iter()
+        .filter(|r| {
+            r.perturbed && r.family == "matmul" && r.model == "bsp" && r.params.name == "MasPar"
+        })
+        .collect()
+}
+
+/// S04: a matmul/bsp form with an extra `+L` the frozen values do not
+/// have diverges from every golden row by far more than 1 ulp. The bound
+/// itself is ≤ 1 ulp: a golden value 1 ulp away from the correct formula
+/// passes, one 2 ulp away fails.
 #[test]
 fn s04_differential_flags_transcription_divergence() {
-    let broken = ClosedForm::new(
-        "matmul",
-        "bsp",
-        unconstrained(),
-        |_, _| {
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
-                Expr::sym("L"),
-                Expr::sym("L"),
-            ])
-        },
-        |m, n| SimTime::from_micros(m.g * exact_f64(n) + m.l),
-    );
-    let machines: Vec<MachineParams> = vec![pcm::models::maspar()];
-    let (findings, max_ulp) = check_differential(&[broken], &machines, 2, 7);
+    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
+            Expr::sym("L"),
+            Expr::sym("L"),
+        ])
+    });
+    let rows = matmul_bsp_golden_rows();
+    assert_eq!(rows.len(), 8);
+    let (findings, max_ulp) = check_differential(&[broken], &rows);
     assert_only_rule(&findings, SymRule::Differential);
+    assert_eq!(findings.len(), rows.len());
     assert!(max_ulp > 1);
+
+    let shifted = |ulps: u64| -> Vec<GoldenRow> {
+        let mut rows = matmul_bsp_golden_rows();
+        for r in &mut rows {
+            let exact = matmul::BSP.eval(&r.params, r.n).as_micros();
+            r.expected_us = f64::from_bits(exact.to_bits() + ulps);
+        }
+        rows
+    };
+    let (findings, max_ulp) = check_differential(&[matmul::BSP], &shifted(1));
+    assert!(findings.is_empty(), "{}", render(&findings));
+    assert_eq!(max_ulp, 1);
+    let (findings, max_ulp) = check_differential(&[matmul::BSP], &shifted(2));
+    assert_only_rule(&findings, SymRule::Differential);
+    assert_eq!(findings.len(), rows.len());
+    assert_eq!(max_ulp, 2);
 }
 
 /// S05: a "matmul" formula whose communication grows like `n` contradicts
 /// the family contract's `n²/√p`-word volume bound.
 #[test]
 fn s05_leading_term_flags_wrong_growth() {
-    let broken = ClosedForm::new(
-        "matmul",
-        "bsp",
-        unconstrained(),
-        |_, _| {
-            Expr::add(vec![
-                Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
-                Expr::sym("L"),
-            ])
-        },
-        |m, n| SimTime::from_micros(m.g * exact_f64(n) + m.l),
-    );
+    let broken = ClosedForm::new("matmul", "bsp", unconstrained(), |_, _| {
+        Expr::add(vec![
+            Expr::mul(vec![Expr::sym("g"), Expr::words(Expr::sym("n"))]),
+            Expr::sym("L"),
+        ])
+    });
     let findings = pcm_sym::check_leading(&[broken], &[pcm::models::maspar()]);
     assert_only_rule(&findings, SymRule::LeadingTerm);
     assert!(findings[0].detail.contains("grows like"));
